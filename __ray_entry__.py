@@ -20,8 +20,9 @@ SF_SMOKE = "/root/testdata/sf0.001"
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001: documents → boilerplate-wrapped pages
-    (every 3rd as toy-PDF binary) → normalize/route → actor-pool extraction
-    → validate/repair. Returns the result Dataset (lazy; driver consumes)."""
+    (every 3rd as toy-PDF binary) → normalize/route → extraction as
+    stateless ``extract_batch`` tasks → validate/repair. Returns the result
+    Dataset (lazy; the caller consumes it)."""
     from pdf_extractor_ray.pipelines.extract import extraction_pipeline
     from pdf_extractor_ray.queries import wrap_documents_as_pages
 

@@ -414,7 +414,9 @@ def extract_publish_date(html: str, url: str = "") -> tuple[str, str]:
     if _PUB_META_RE is None:
         _PUB_META_RE = re.compile(
             r"""<meta[^>]+(?:property|name)\s*=\s*["']?"""
-            r"""(?:article:published_time|datePublished|date)["']?[^>]*"""
+            # the name ends at a quote, whitespace or `>`: ``dateModified``
+            # is not ``date``
+            r"""(?:article:published_time|datePublished|date)(?=["'\s>])["']?[^>]*"""
             r"""content\s*=\s*["']([^"'<>]+)""",
             re.IGNORECASE,
         )

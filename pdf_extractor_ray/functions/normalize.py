@@ -71,18 +71,21 @@ def extract_numbers(text: str) -> list[str]:
     ``"15%" -> "15"``, ``"₪5,000" -> "5000"``, ``"-1,234" -> "-1234"``
     (reference: content_normalizer.py:30-121).
     """
+    return list(iter_numbers(text))
+
+
+def iter_numbers(text: str):
+    """Lazily yield the numbers of :func:`extract_numbers`, so a caller that
+    only asks whether there is one stops at the first."""
     if not text:
-        return []
-    cleaned = _CURRENCY_RE.sub("", text)
-    out: list[str] = []
-    for match in _NUMBER_RE.findall(cleaned):
-        num = _disambiguate_separators(match.rstrip("%")).replace(" ", "")
+        return
+    for match in _NUMBER_RE.finditer(_CURRENCY_RE.sub("", text)):
+        num = _disambiguate_separators(match.group().rstrip("%")).replace(" ", "")
         try:
             float(num)
         except ValueError:
             continue
-        out.append(num)
-    return out
+        yield num
 
 
 def _bidi_class(ch: str) -> str:

@@ -64,6 +64,17 @@ def should_validate_page(url: str, page_index: int, sample_rate: int) -> bool:
     return (page_index - offset) % sample_rate == 0
 
 
+def align_pages(extracted: str, provided: str) -> tuple[list[str], list[str]]:
+    """The (extracted, provided) page lists the validator walks in step:
+    both split by :func:`split_pages`, or each whole document when either
+    is single-page or their page counts differ."""
+    ex_pages = split_pages(extracted)
+    pv_pages = split_pages(provided) if provided else None
+    if ex_pages is None or pv_pages is None or len(ex_pages) != len(pv_pages):
+        return [extracted], ([provided] if provided else [""])
+    return ex_pages, pv_pages
+
+
 @dataclass
 class DocValidation:
     """Validation outcome for one document."""
@@ -98,13 +109,7 @@ def validate_document(
     """
     extracted = extracted or ""
     provided = provided or ""
-
-    ex_pages = split_pages(extracted)
-    pv_pages = split_pages(provided) if provided else None
-    if ex_pages is None or pv_pages is None or len(ex_pages) != len(pv_pages):
-        # Whole-document granularity (single page, or unalignable).
-        ex_pages = [extracted]
-        pv_pages = [provided] if provided else [""]
+    ex_pages, pv_pages = align_pages(extracted, provided)
 
     out_pages: list[str] = []
     problems_union: list[str] = []

@@ -6,9 +6,12 @@ a streaming Ray Data DAG:
 
     read_parquet(pages)                      # url, warc_ts, html, text, lang
       → map_batches(normalize_route)         # stateless: sniff, route, partition_id
-      → map_batches(DocumentExtractor, ...)  # actor pool, warm parsers;
-                                             #   in-UDF skew split+reassemble
-      → map_batches(validate_batch)          # detectors + similarity + repair
+      → map_batches(extract_batch)           # stateless tasks, per-process warm
+                                             #   parsers; in-UDF skew split+reassemble
+                                             #   (use_actor_pool=True: DocumentExtractor
+                                             #   actor pool instead)
+      → map_batches(validate_batch)          # one-pass page profile detectors
+                                             #   + similarity + repair
       → [write_parquet partitioned by partition_id]  (checkpoint.py)
 
 Shuffles on the hot path: none. The only all-to-all operations are the tiny

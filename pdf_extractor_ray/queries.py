@@ -5292,24 +5292,16 @@ ORDER BY query_id, rank
 def q_problem_flags(sf_dir: str) -> pd.DataFrame:
     """Three SQL-expressible detectors over documents.text as boolean
     columns (reference: problem_detector.py:67-82, 213-228, 230-259)."""
-    from .functions.problems import (
-        detect_low_content_density,
-        detect_missing_keywords,
-        detect_very_short_pages,
-    )
+    from .functions.problems import detect_all_problems
 
+    names = ("low_content_density", "very_short_pages", "missing_keywords")
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def flags(batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
+        rows = [detect_all_problems(t, names) for t in batch["text"].to_pylist()]
         return pa.Table.from_arrays(
-            [
-                batch["doc_id"],
-                pa.array([detect_low_content_density(t) for t in texts]),
-                pa.array([detect_very_short_pages(t) for t in texts]),
-                pa.array([detect_missing_keywords(t) for t in texts]),
-            ],
-            names=["doc_id", "low_content_density", "very_short_pages", "missing_keywords"],
+            [batch["doc_id"]] + [pa.array([r[n] for r in rows], pa.bool_()) for n in names],
+            names=["doc_id", *names],
         )
 
     out = ds.map_batches(flags, batch_format="pyarrow").to_pandas()

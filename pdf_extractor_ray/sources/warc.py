@@ -244,7 +244,8 @@ def _parse_one(rec: bytes) -> dict:
     if content_encoding in ("gzip", "x-gzip"):
         try:
             payload = gzip.decompress(payload)
-        except OSError as exc:
+        # truncated member → EOFError; corrupt deflate data → zlib.error
+        except (OSError, EOFError, zlib.error) as exc:
             raise WarcError(f"bad gzip response body: {exc}") from exc
         http_coding = (
             "gzip+chunked" if transfer_chunked else "gzip"
@@ -364,7 +365,7 @@ def parse_warc_salvage(blob: bytes) -> list[dict]:
                 rec = blob[pos:nxt]
             records.append(_parse_one(rec))
             pos = nxt
-        except (WarcError, NotImplementedError, OSError, zlib.error,
+        except (WarcError, NotImplementedError, OSError, EOFError, zlib.error,
                 ValueError, KeyError):
             skip_to = (
                 blob.find(_GZ_MAGIC, pos + 1)

@@ -62,12 +62,3 @@ def validate_batch(batch: pa.Table, config: EngineConfig | None = None) -> pa.Ta
         )
     )
 
-
-def should_validate(url: str, sample_rate: int) -> bool:
-    """Document-level sampling helper (kept for compatibility; page-level
-    sampling lives in ..functions.validate.should_validate_page)."""
-    import zlib
-
-    if sample_rate <= 1:
-        return True
-    return zlib.crc32(url.encode()) % sample_rate == 0

@@ -3,6 +3,11 @@
 
 Usage: python scripts/microbench.py [n_docs]
 Prints one JSON line per operator: {op, ms_per_doc, docs_per_sec_1core}.
+The ``detectors_*_pages`` rows are per page: they time the detectors on the
+pages ``validate_document`` hands them (``extract_batch`` output, split by
+``split_pages``), one row each for ASCII pages (the ``bytes.translate``
+path) and non-ASCII pages (the regex path), so each maps onto the
+benchmark ledger's ``validate.detectors.self_s``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,22 @@ def bench(name: str, fn, items, repeat: int = 1) -> None:
             }
         )
     )
+
+
+def validator_pages(pages) -> list[str]:
+    """Every page the validator runs the detectors on: ``extract_batch``
+    output, aligned with the provided text's pages by ``align_pages``."""
+    from pdf_extractor_ray.functions.validate import align_pages
+    from pdf_extractor_ray.stages.extract import extract_batch
+    from pdf_extractor_ray.stages.normalize import normalize_route
+
+    batch = extract_batch(normalize_route(pages))
+    out: list[str] = []
+    for extracted, provided in zip(
+        batch["extracted_text"].to_pylist(), batch["text"].to_pylist()
+    ):
+        out.extend(align_pages(extracted or "", provided or "")[0])
+    return out
 
 
 def main() -> None:
@@ -65,16 +86,18 @@ def main() -> None:
     bench("tokenize_html_stdlib", lambda h: tokenize_blocks(h, "stdlib"), htmls)
     bench("extract_html_full", lambda h: extract_html(h), htmls)
     bench("extract_pdf_layout", lambda p: extract_pdf(p), pdfs)
-    bench(
-        "detectors_default7",
-        lambda t: detect_all_problems(t, DEFAULT_PROBLEMS_ENABLED),
-        short_texts,
-    )
-    bench(
-        "detectors_all14",
-        lambda t: detect_all_problems(t, ALL_PROBLEMS),
-        short_texts,
-    )
+    seen = validator_pages(pages)
+    for script, group in (
+        ("ascii", [p for p in seen if p.isascii()]),
+        ("nonascii", [p for p in seen if not p.isascii()]),
+    ):
+        for label, enabled in (("default7", DEFAULT_PROBLEMS_ENABLED), ("all14", ALL_PROBLEMS)):
+            bench(
+                f"detectors_{label}_{script}_pages",
+                lambda t, enabled=enabled: detect_all_problems(t, enabled),
+                group,
+                repeat=3,
+            )
     bench(
         "similarity_number_freq",
         lambda t: similarity_number_frequency(t, t[:-5]),

@@ -23,6 +23,7 @@ from pdf_extractor_ray.functions.numbers import (
     parse_number,
 )
 from pdf_extractor_ray.functions.problems import (
+    PageProfile,
     detect_duplicate_content,
     detect_empty_tables,
     detect_garbled_text,
@@ -154,68 +155,68 @@ GOOD_PAGE = (
 class TestProblemDetectors:
     def test_empty_tables_positive(self):
         content = "| | |\n" * 5
-        assert detect_empty_tables(content)
+        assert detect_empty_tables(PageProfile(content))
 
     def test_empty_tables_negative_three_rows(self):
         content = "| | |\n" * 3
-        assert not detect_empty_tables(content)
+        assert not detect_empty_tables(PageProfile(content))
 
     def test_low_content_density(self):
-        assert detect_low_content_density("short")
-        assert not detect_low_content_density("x" * 150)
+        assert detect_low_content_density(PageProfile("short"))
+        assert not detect_low_content_density(PageProfile("x" * 150))
 
     def test_missing_numbers(self):
         rows = "\n".join("| a | b | c | d |" for _ in range(6))
-        assert detect_missing_numbers(rows)
-        assert not detect_missing_numbers(rows + "\n| 1 | 2 | 3 | 4 |")
+        assert detect_missing_numbers(PageProfile(rows))
+        assert not detect_missing_numbers(PageProfile(rows + "\n| 1 | 2 | 3 | 4 |"))
 
     def test_inconsistent_columns(self):
         content = "| a | b |\n| a | b | c |\n| a | b | c | d |\n| a |"
-        assert detect_inconsistent_columns(content)
+        assert detect_inconsistent_columns(PageProfile(content))
         consistent = "| a | b |\n| --- | --- |\n| 1 | 2 |\n| 3 | 4 |"
-        assert not detect_inconsistent_columns(consistent)
+        assert not detect_inconsistent_columns(PageProfile(consistent))
 
     def test_repeated_characters(self):
-        assert detect_repeated_characters("prefix " + "x" * 10)
-        assert not detect_repeated_characters("prefix " + "-" * 20)  # rule line
+        assert detect_repeated_characters(PageProfile("prefix " + "x" * 10))
+        assert not detect_repeated_characters(PageProfile("prefix " + "-" * 20))  # rule line
 
     def test_garbled_text(self):
-        assert detect_garbled_text("@#$%^&*~`" * 10 + "ab")
-        assert not detect_garbled_text(GOOD_PAGE)
+        assert detect_garbled_text(PageProfile("@#$%^&*~`" * 10 + "ab"))
+        assert not detect_garbled_text(PageProfile(GOOD_PAGE))
 
     def test_header_only_tables(self):
         content = "| A | B |\n| --- | --- |\n| 1 | 2 |"
-        assert detect_header_only_tables(content)
+        assert detect_header_only_tables(PageProfile(content))
         full = content + "\n| 3 | 4 |\n| 5 | 6 |"
-        assert not detect_header_only_tables(full)
+        assert not detect_header_only_tables(PageProfile(full))
 
     def test_very_short_pages(self):
-        assert detect_very_short_pages("tiny")
-        assert not detect_very_short_pages("y" * 250)
+        assert detect_very_short_pages(PageProfile("tiny"))
+        assert not detect_very_short_pages(PageProfile("y" * 250))
 
     def test_missing_keywords(self):
         neutral = ("lorem ipsum dolor sit amet " * 25)[:600]
-        assert detect_missing_keywords(neutral)
-        assert not detect_missing_keywords(GOOD_PAGE * 2)
-        assert not detect_missing_keywords("short page")  # <500 chars skipped
+        assert detect_missing_keywords(PageProfile(neutral))
+        assert not detect_missing_keywords(PageProfile(GOOD_PAGE * 2))
+        assert not detect_missing_keywords(PageProfile("short page"))  # <500 chars skipped
 
     def test_duplicate_content(self):
         para = "a substantial paragraph with quite a lot of characters in it"
-        assert detect_duplicate_content("\n\n".join([para] * 3))
-        assert not detect_duplicate_content("\n\n".join([para, "b", "c"]))
+        assert detect_duplicate_content(PageProfile("\n\n".join([para] * 3)))
+        assert not detect_duplicate_content(PageProfile("\n\n".join([para, "b", "c"])))
 
     def test_repetitive_numbers(self):
-        assert detect_repetitive_numbers("| 1000 | 1000 | 1000 |")
-        assert detect_repetitive_numbers("1000 1000 1000 ")
-        assert not detect_repetitive_numbers("| 1 | 2 | 3 |")
+        assert detect_repetitive_numbers(PageProfile("| 1000 | 1000 | 1000 |"))
+        assert detect_repetitive_numbers(PageProfile("1000 1000 1000 "))
+        assert not detect_repetitive_numbers(PageProfile("| 1 | 2 | 3 |"))
 
     def test_unknown_characters(self):
-        assert detect_unknown_characters("□�☐ " * 10 + "ab")
-        assert not detect_unknown_characters(GOOD_PAGE)
+        assert detect_unknown_characters(PageProfile("□�☐ " * 10 + "ab"))
+        assert not detect_unknown_characters(PageProfile(GOOD_PAGE))
 
     def test_markdown_images(self):
-        assert detect_markdown_images("![img-01.jpeg](img-01.jpeg)")
-        assert not detect_markdown_images("plain [link](x) no bang")
+        assert detect_markdown_images(PageProfile("![img-01.jpeg](img-01.jpeg)"))
+        assert not detect_markdown_images(PageProfile("plain [link](x) no bang"))
 
     def test_has_any_problem_empty_content(self):
         assert has_any_problem("", ("empty_tables",)) == (True, ["empty_content"])

@@ -313,3 +313,59 @@ class TestVp8HeaderFuzz:
         _assert_contained(
             parse_vp8_header, _mutations(base, 120, seed=202), (ValueError,)
         )
+
+
+def _gzip_body_record(j: int, damage: str) -> bytes:
+    """A ``Content-Encoding: gzip`` response record whose stored gzip body
+    is truncated or has corrupt deflate data; lengths are kept consistent,
+    so only the inner decompression can fail."""
+    import gzip
+
+    from pdf_extractor_ray.sources.warc import build_record
+
+    payload = b"<p>body %d</p>" % j * 40
+    good = gzip.compress(payload, mtime=0)
+    bad = {
+        "truncated": good[: len(good) // 2],  # EOFError from gzip
+        "corrupt": good[:10] + bytes([good[10] ^ 0xFF]) + good[11:],  # zlib.error
+        "crc": good[:-8] + bytes(8),  # BadGzipFile, an OSError
+    }[damage]
+    rec = build_record(f"doc://gz/{j}", 1_700_000_000_000_000 + j, payload, http_coding="gzip")
+    head_end = rec.index(b"\r\n\r\n")
+    body = rec[head_end + 4 : -4].replace(good, bad).replace(
+        b"Content-Length: %d" % len(good), b"Content-Length: %d" % len(bad)
+    )
+    head = rec[:head_end].replace(
+        b"Content-Length: %d" % (len(rec) - head_end - 8),
+        b"Content-Length: %d" % len(body),
+    )
+    return head + b"\r\n\r\n" + body + b"\r\n\r\n"
+
+
+class TestBadGzipResponseBody:
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "crc"])
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_strict_raises_warc_error(self, damage, compressed):
+        from pdf_extractor_ray.sources.warc import WarcError, _gzip_member, parse_warc
+
+        rec = _gzip_body_record(0, damage)
+        with pytest.raises(WarcError, match="bad gzip response body"):
+            parse_warc(_gzip_member(rec) if compressed else rec)
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "crc"])
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_salvage_skips_only_the_bad_record(self, damage, compressed):
+        from pdf_extractor_ray.sources.warc import (
+            _gzip_member,
+            build_record,
+            parse_warc_salvage,
+        )
+
+        recs = [
+            build_record("doc://gz/a", 1_700_000_000_000_000, b"first", http_coding="gzip"),
+            _gzip_body_record(1, damage),
+            build_record("doc://gz/c", 1_700_000_000_000_002, b"third", http_coding="gzip"),
+        ]
+        blob = b"".join(_gzip_member(r) if compressed else r for r in recs)
+        got = parse_warc_salvage(blob)
+        assert [r["payload"] for r in got] == [b"first", b"third"]

@@ -1424,6 +1424,14 @@ class TestPublishDates:
         )
         assert extract_publish_date(html) == ("time", "2020-05-06")
 
+    def test_date_modified_is_not_date(self):
+        from pdf_extractor_ray.functions.metadata import extract_publish_date
+
+        html = '<meta name="dateModified" content="2024-05-01">'
+        assert extract_publish_date(html) == ("none", "")
+        html += '<meta name=date content="2023-04-05"><time datetime="2020-05-06">t</time>'
+        assert extract_publish_date(html) == ("meta", "2023-04-05")
+
     def test_url_fallback_and_none(self):
         from pdf_extractor_ray.functions.metadata import extract_publish_date
 
