@@ -344,6 +344,23 @@ def _fold_partials(batches, nodes_sorted: np.ndarray, acc: np.ndarray) -> np.nda
     return big
 
 
+def _sum_by_index(idx: np.ndarray, contrib: np.ndarray, size: int) -> np.ndarray:
+    """``np.add.at`` of ``contrib`` into ``size`` cells with no int64 wrap.
+    The int64 path runs only when ``len × max|contrib|`` bounds every cell
+    sum within int64; otherwise the sums are exact Python ints (object
+    dtype), so a later ``pa.array(..., int64)`` raises instead of wrapping."""
+    if contrib.dtype != object and (
+        not len(contrib)
+        or len(contrib) * max(int(contrib.max()), -int(contrib.min())) <= _I64_MAX
+    ):
+        sums = np.zeros(size, np.int64)
+    else:
+        sums = np.zeros(size, object)
+        contrib = contrib.astype(object)
+    np.add.at(sums, idx, contrib)
+    return sums
+
+
 def _pagerank_broadcast(
     edges, num_iters, src_col, dst_col, weight_col,
     r0, teleport, dp, n_nodes, seed_set=None,
@@ -445,9 +462,10 @@ def _pagerank_broadcast(
                     n,
                 )
             denc = pc.dictionary_encode(batch[dst_col].combine_chunks())
-            sums = np.zeros(len(denc.dictionary), np.int64)
-            np.add.at(
-                sums, denc.indices.to_numpy(zero_copy_only=False), contrib
+            sums = _sum_by_index(
+                denc.indices.to_numpy(zero_copy_only=False),
+                contrib,
+                len(denc.dictionary),
             )
             return pa.Table.from_arrays(
                 [denc.dictionary, pa.array(sums, pa.int64())],
@@ -667,15 +685,15 @@ def _hits_broadcast(edges, num_iters, src_col, dst_col, weight_col):
             vs = v[s_pos][s_idx] if n else np.zeros(0, np.int64)
             if n and int(vs.max()) * int(w.max()) <= _I64_MAX:
                 contrib = w * vs
-            else:  # exact big-int fallback: per-block sums that exceed
-                # int64 raise at pa.array below (old dict-path behavior)
+            else:  # exact big-int fallback (hot-edge overflow guard)
                 contrib = np.array(
                     [int(a) * int(b) for a, b in zip(w, vs)], dtype=object
                 )
             denc = pc.dictionary_encode(batch[out_key].combine_chunks())
-            sums = np.zeros(len(denc.dictionary), contrib.dtype)
-            np.add.at(
-                sums, denc.indices.to_numpy(zero_copy_only=False), contrib
+            sums = _sum_by_index(
+                denc.indices.to_numpy(zero_copy_only=False),
+                contrib,
+                len(denc.dictionary),
             )
             return pa.Table.from_arrays(
                 [denc.dictionary, pa.array(sums, pa.int64())],

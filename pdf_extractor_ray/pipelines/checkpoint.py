@@ -22,6 +22,29 @@ tests/test_resume.py).
 At cluster scale each partition group is written by whichever node holds its
 blocks; the groupby here is the explicit hash exchange on the ONE
 partitioning key the engine uses everywhere (partition_id = crc32(url) % P).
+
+The grouped sink runs with Ray Data's per-operator resource reservation off.
+With it on, the partition writer keeps one task's CPU reserved for the whole
+map phase, although it cannot start before the Sort barrier has all of its
+input: on a 2-CPU session the fused map stage then runs one task at a time.
+The Sort is a barrier, so the map phase and the commit phase never run
+together and a reservation protects no concurrent operator; Ray already lifts
+the object-store budget of an operator that feeds a materializing one, so no
+memory backpressure on the map stage is lost. Only the consumed dataset's
+own ``DataContext`` changes (it is shared with the datasets it was derived
+from); the process-global ``DataContext.get_current()`` is never touched.
+``run_direct`` streams its writes alongside the map stage and keeps the
+reservation.
+
+Every Ray Data execution sends a request to the session's autoscaling-
+requester actor (zero-CPU, detached) when it shuts down. With reservation
+on, a session's first execution stalls early and starts that actor while it
+runs; with reservation off nothing stalls, so the actor is first created by
+the final shutdown call, which does not wait: its process would still be
+booting (about half a CPU-second) after ``run_with_checkpoints`` returned,
+competing with whatever the caller runs next. ``run_with_checkpoints``
+therefore starts the actor before it executes and waits for it before it
+returns, so that start-up stays inside the call that caused it.
 """
 
 from __future__ import annotations
@@ -126,6 +149,11 @@ def run_with_checkpoints(
 
     ``fail_after_partitions`` is a test hook: raise after N commits to
     exercise resume.
+
+    Per-operator resource reservation is switched off on ``ds.context``
+    (never on ``DataContext.get_current()``): otherwise the idle writer
+    behind the Sort barrier holds a CPU for the whole map phase and the
+    map stage loses a task slot (see the module docstring).
     """
     done = completed_partitions(out_dir)
     if done:
@@ -138,7 +166,9 @@ def run_with_checkpoints(
             ),
             batch_format="pyarrow",
         )
+    ds.context.op_resource_reservation_enabled = False
     writer = _make_partition_writer(out_dir)
+    requester_ready = _autoscaling_requester_ready()
     if fail_after_partitions is not None:
         committed = 0
         for batch in (
@@ -151,10 +181,33 @@ def run_with_checkpoints(
                 raise RuntimeError(
                     f"injected failure after {committed} partitions"
                 )
-        return read_metrics(out_dir)
-    result = ds.groupby("partition_id").map_groups(writer, batch_format="pyarrow")
-    result.materialize()
+    else:
+        result = ds.groupby("partition_id").map_groups(writer, batch_format="pyarrow")
+        result.materialize()
+    # Ray is up by now even when the execution itself started it.
+    requester_ready = requester_ready or _autoscaling_requester_ready()
+    if requester_ready is not None:
+        import ray
+
+        ray.get(requester_ready)
     return read_metrics(out_dir)
+
+
+def _autoscaling_requester_ready():
+    """Get or start Ray Data's autoscaling-requester actor and return a ref
+    that resolves once it is up (see the module docstring); None when Ray
+    is not initialized or this Ray version has no such actor."""
+    import ray
+
+    try:
+        from ray.data._internal.execution.autoscaling_requester import (
+            get_or_create_autoscaling_requester_actor,
+        )
+    except ImportError:
+        return None
+    if not ray.is_initialized():
+        return None
+    return get_or_create_autoscaling_requester_actor().__ray_ready__.remote()
 
 
 def run_direct(ds, out_dir: str):

@@ -8768,7 +8768,7 @@ WITH w AS (
            h1 AS content
     FROM h WHERE length(h1) >= 8
     UNION ALL
-    SELECT doc_id, 1,
+    SELECT doc_id, CASE WHEN length(h1) >= 8 THEN 1 ELSE 0 END,
            {P} + 3 + length(h1) + 7,
            {P} + 3 + length(h1) + 7 + length(h2),
            h2

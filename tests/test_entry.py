@@ -84,3 +84,35 @@ class TestEntry:
         # Each flagged copy clusters with a lower id (deterministic winner).
         dup_copies = copies[copies["is_duplicate"]]
         assert (dup_copies["cluster_id"] < dup_copies["doc_id"]).all()
+
+
+def test_extract_spans_oracle_numbers_kept_blocks(ray_session, tmp_path):
+    """The engine numbers only the blocks it keeps (>= 8 chars), so a
+    document whose first half is dropped has its second half at
+    ``block_idx`` 0; the oracle must agree."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.queries import ORACLE_SQL, q_extract_spans
+
+    texts = [
+        "alpha beta gamma delta epsilon zeta",  # both halves kept
+        "hi yo second-half-words kept",  # first half (5 chars) dropped
+        "averylongfirstword x",  # second half (1 char) dropped
+    ]
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": texts}),
+        tmp_path / "documents.parquet",
+    )
+    ours = q_extract_spans(str(tmp_path))
+    con = duckdb.connect()
+    con.execute(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{tmp_path / 'documents.parquet'}')"
+    )
+    oracle = con.execute(ORACLE_SQL["extract_spans"]).df()
+    assert sorted(ours.columns) == sorted(oracle.columns)
+    pd.testing.assert_frame_equal(_canonical(ours), _canonical(oracle))
+    second = ours[ours["doc_id"] == 1]
+    assert second["block_idx"].tolist() == [0]
+    assert second["content"].tolist() == ["second-half-words kept"]

@@ -87,6 +87,69 @@ class TestResume:
         assert metrics["docs"].sum() == 200
 
 
+def _validated_block(start: int, n_rows: int):
+    """Rows shaped like the validate stage's output, as the sink reads it."""
+    import pyarrow as pa
+
+    ids = range(start, start + n_rows)
+    return pa.table(
+        {
+            "url": [f"https://example.com/{i}" for i in ids],
+            "partition_id": pa.array([i % 7 for i in ids], pa.int32()),
+            "payload_bytes": pa.array([100 + i for i in ids], pa.int64()),
+            "extracted_text": [f"text {i}" for i in ids],
+            "has_problem": [False] * n_rows,
+            "similarity": pa.array([None] * n_rows, pa.float64()),
+            "passed": [True] * n_rows,
+            "source": ["extracted"] * n_rows,
+        }
+    )
+
+
+class TestSinkConcurrency:
+    def test_map_stage_runs_concurrently_through_sink(self, ray_session, tmp_path):
+        """The map stage upstream of the grouped sink gets every CPU: one
+        task per CPU must be running at once (a rendezvous), which fails
+        when the writer behind the Sort barrier keeps a CPU reserved."""
+        import time
+
+        import ray
+        import ray.data as rd
+        from ray.data import DataContext
+
+        n = int(ray.cluster_resources()["CPU"])
+        rows_per_block = 5
+        blocks = [_validated_block(i * rows_per_block, rows_per_block) for i in range(n)]
+        meet_dir = tmp_path / "rendezvous"
+        meet_dir.mkdir()
+
+        def rendezvous(batch, meet_dir=str(meet_dir), n=n):
+            first = batch["url"][0].as_py().rsplit("/", 1)[1]
+            open(os.path.join(meet_dir, f"arrived-{first}"), "w").close()
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                arrived = [f for f in os.listdir(meet_dir) if f.startswith("arrived-")]
+                if len(arrived) >= n:
+                    open(os.path.join(meet_dir, f"met-{first}"), "w").close()
+                    break
+                time.sleep(0.05)
+            return batch
+
+        ds = rd.from_arrow(blocks).map_batches(
+            rendezvous, batch_size=None, batch_format="pyarrow"
+        )
+        metrics = run_with_checkpoints(ds, str(tmp_path / "out"))
+
+        met = [f for f in os.listdir(meet_dir) if f.startswith("met-")]
+        assert len(met) == n, f"only {len(met)}/{n} map tasks ran concurrently"
+        assert metrics["docs"].sum() == n * rows_per_block
+        out = read_output(str(tmp_path / "out"))
+        assert sorted(out["url"].to_pylist()) == sorted(
+            u for b in blocks for u in b["url"].to_pylist()
+        )
+        assert DataContext.get_current().op_resource_reservation_enabled
+
+
 class TestDirectMode:
     def test_shuffle_free_direct_write(self, ray_session, pages_path, tmp_path):
         import glob

@@ -267,6 +267,29 @@ def test_pagerank_regimes_identical(ray_session):
     }
 
 
+def test_pagerank_contrib_sum_past_int64_raises(ray_session):
+    """Every per-edge contrib fits int64 but 150 of them summed onto one
+    destination do not: the partial must raise, never wrap."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pdf_extractor_ray.ops.links import pagerank
+
+    n_src = 150
+    tbl = pa.table(
+        {
+            "src_host": [f"s{i}" for i in range(n_src)],
+            "dst_host": ["c"] * n_src,
+            "n_links": [1] * n_src,
+        }
+    )
+    # r0 = 10**17 per node: 85 * r0 fits int64, 150 * 85 * r0 // 100 does not.
+    with pytest.raises(Exception, match="too large to convert"):
+        pagerank(
+            rd.from_arrow(tbl), num_iters=1, scale=(n_src + 1) * 10**17
+        ).take_all()
+
+
 class TestHits:
     @staticmethod
     def brute(edges, num_iters=2):
@@ -332,6 +355,17 @@ class TestHits:
         assert bc == dist
         auth, hub = self.brute(self.EDGES)
         assert bc == sorted((h, auth[h], hub[h]) for h in auth)
+
+    def test_contrib_sum_past_int64_raises(self, ray_session):
+        """Both products w * h fit int64; their sum onto "c" does not, so
+        the partial must raise instead of wrapping negative."""
+        import ray.data as rd
+
+        from pdf_extractor_ray.ops.links import hits_scores
+
+        edges = [("a", "c", 2**62), ("b", "c", 2**62)]
+        with pytest.raises(Exception, match="too large to convert"):
+            hits_scores(rd.from_arrow(self._table(edges)), num_iters=1).take_all()
 
 
 class TestSurt:
