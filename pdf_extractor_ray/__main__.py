@@ -101,7 +101,7 @@ def cmd_extract(args) -> int:
         run_direct(result, args.output)
         print(json.dumps({"output": args.output, "mode": "direct"}))
     else:
-        metrics = run_with_checkpoints(result, args.output, config=config)
+        metrics = run_with_checkpoints(result, args.output)
         print(
             json.dumps(
                 {

@@ -2,13 +2,13 @@
 
 Mirrors the semantics-bearing constants of the reference's pydantic-settings
 config (reference: src/core/config.py:36-113) as a plain frozen dataclass that
-is cheap to pickle into UDF closures / actor constructors (no globals, no env
-reads inside workers).
+is cheap to pickle into UDF closures (no globals, no env reads inside
+workers).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # Default-enabled problem detectors (reference: src/core/config.py:100-113 —
@@ -39,7 +39,6 @@ class EngineConfig:
     # --- splitting / skew (reference: src/core/config.py:36, pdf_processor.py:29-68)
     max_pages_per_chunk: int = 15          # MAX_PAGES_PER_CHUNK
     split_threshold_bytes: int = 256_000   # payloads above this go through flat_map chunking
-    max_outlines: int = 4                  # top-level outline cap (pdf_processor.py:56-59)
 
     # --- validation (reference: src/core/config.py:89-113)
     validation_sample_rate: int = 5        # validate every Nth page (VALIDATION_SAMPLE_RATE)
@@ -68,12 +67,3 @@ class EngineConfig:
     # --- Ray stage sizing (single-node defaults; scale with cluster)
     html_batch_size: int = 512             # ~8 MB/batch at the 16 KB/page corpus mix
     pdf_batch_size: int = 64               # binary payload rows: small batches
-    pdf_pool_size: int = 4                 # actor pool size for the warm PDF parser stage
-    # Extractor actor pool (min, max): autoscales with the cluster; leave
-    # headroom so read/write stages are never starved.
-    extract_concurrency: tuple[int, int] = (1, 24)
-
-    extra: dict = field(default_factory=dict, compare=False)
-
-
-DEFAULT_CONFIG = EngineConfig()

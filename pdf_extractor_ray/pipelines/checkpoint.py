@@ -53,10 +53,10 @@ import json
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..config import EngineConfig
-from ..stages.metrics import METRIC_FIELDS
+from ..stages.metrics import METRIC_FIELDS, partial_metrics
 
 
 def completed_partitions(out_dir: str) -> set[int]:
@@ -84,30 +84,12 @@ def _commit_partition(out_dir: str, partition_id: int, table: pa.Table) -> dict:
     pq.write_table(table, data_tmp)
     os.replace(data_tmp, data_path)
 
-    bytes_out = sum(len(t) for t in table["extracted_text"].to_pylist())
-    sims = table["similarity"].to_pylist()
+    metrics = partial_metrics(table).to_pylist()[0]
     # Reference cost model: ~500 tokens/page at $0.01/1K tokens per
     # validated page (reference: validation_orchestrator.py:52-53, 432).
-    n_pages_validated = (
-        sum(table["n_pages_validated"].to_pylist())
-        if "n_pages_validated" in table.schema.names
-        else sum(1 for s in sims if s is not None)
-    )
-    metrics = {
-        "partition_id": partition_id,
-        "docs": len(table),
-        "bytes_in": sum(table["payload_bytes"].to_pylist()),
-        "bytes_out": bytes_out,
-        "n_problem_docs": sum(1 for v in table["has_problem"].to_pylist() if v),
-        "n_replaced": sum(1 for s in table["source"].to_pylist() if s == "provided"),
-        "n_failed_validation": sum(
-            1 for sim, ok in zip(sims, table["passed"].to_pylist())
-            if sim is not None and not ok
-        ),
-        "n_validated": sum(1 for sim in sims if sim is not None),
-        "n_pages_validated": int(n_pages_validated),
-        "est_validation_cost_usd": round(n_pages_validated * 500 * 0.01 / 1000, 4),
-    }
+    n_pages_validated = pc.sum(table["n_pages_validated"]).as_py()
+    metrics["n_pages_validated"] = n_pages_validated
+    metrics["est_validation_cost_usd"] = round(n_pages_validated * 500 * 0.01 / 1000, 4)
     metrics_tmp = os.path.join(metrics_dir, f"part={partition_id}.parquet.tmp")
     metrics_path = os.path.join(metrics_dir, f"part={partition_id}.parquet")
     pq.write_table(
@@ -131,7 +113,7 @@ def _make_partition_writer(out_dir: str):
         partition_id = int(group["partition_id"][0].as_py())
         # Deterministic intra-partition order (url is unique per corpus
         # row), so the committed file is byte-stable across runs.
-        order = pa.compute.sort_indices(group["url"])
+        order = pc.sort_indices(group["url"])
         metrics = _commit_partition(out_dir, partition_id, group.take(order))
         return pa.Table.from_pylist([metrics])
 
@@ -141,14 +123,13 @@ def _make_partition_writer(out_dir: str):
 def run_with_checkpoints(
     ds,
     out_dir: str,
-    config: EngineConfig | None = None,
     fail_after_partitions: int | None = None,
 ):
     """Consume a result Dataset into the checkpointed layout, skipping
     already-committed partitions. Returns the metrics table (pandas).
 
-    ``fail_after_partitions`` is a test hook: raise after N commits to
-    exercise resume.
+    ``fail_after_partitions`` is a test hook: raise once N commits have
+    been consumed, to exercise resume.
 
     Per-operator resource reservation is switched off on ``ds.context``
     (never on ``DataContext.get_current()``): otherwise the idle writer
@@ -157,8 +138,6 @@ def run_with_checkpoints(
     """
     done = completed_partitions(out_dir)
     if done:
-        import pyarrow.compute as pc
-
         done_arr = list(done)
         ds = ds.map_batches(
             lambda t: t.filter(
@@ -169,21 +148,12 @@ def run_with_checkpoints(
     ds.context.op_resource_reservation_enabled = False
     writer = _make_partition_writer(out_dir)
     requester_ready = _autoscaling_requester_ready()
-    if fail_after_partitions is not None:
-        committed = 0
-        for batch in (
-            ds.groupby("partition_id")
-            .map_groups(writer, batch_format="pyarrow")
-            .iter_batches(batch_size=1, batch_format="pyarrow")
-        ):
-            committed += len(batch)
-            if committed >= fail_after_partitions:
-                raise RuntimeError(
-                    f"injected failure after {committed} partitions"
-                )
-    else:
-        result = ds.groupby("partition_id").map_groups(writer, batch_format="pyarrow")
-        result.materialize()
+    result = ds.groupby("partition_id").map_groups(writer, batch_format="pyarrow")
+    committed = 0
+    for batch in result.iter_batches(batch_size=None, batch_format="pyarrow"):
+        committed += len(batch)
+        if fail_after_partitions is not None and committed >= fail_after_partitions:
+            raise RuntimeError(f"injected failure after {committed} partitions")
     # Ray is up by now even when the execution itself started it.
     requester_ready = requester_ready or _autoscaling_requester_ready()
     if requester_ready is not None:

@@ -6,10 +6,8 @@ a streaming Ray Data DAG:
 
     read_parquet(pages)                      # url, warc_ts, html, text, lang
       → map_batches(normalize_route)         # stateless: sniff, route, partition_id
-      → map_batches(extract_batch)           # stateless tasks, per-process warm
-                                             #   parsers; in-UDF skew split+reassemble
-                                             #   (use_actor_pool=True: DocumentExtractor
-                                             #   actor pool instead)
+      → map_batches(extract_batch)           # stateless tasks; in-UDF skew
+                                             #   split + reassemble
       → map_batches(validate_batch)          # one-pass page profile detectors
                                              #   + similarity + repair
       → [write_parquet partitioned by partition_id]  (checkpoint.py)
@@ -27,7 +25,7 @@ from __future__ import annotations
 import functools
 
 from ..config import EngineConfig
-from ..stages.extract import DocumentExtractor, extract_batch
+from ..stages.extract import extract_batch
 from ..stages.normalize import normalize_route
 from ..stages.split import extract_chunks, reassemble_chunks, split_oversized
 from ..stages.validate import validate_batch
@@ -37,19 +35,15 @@ def extraction_pipeline(
     ds,
     config: EngineConfig | None = None,
     query: str | None = None,
-    concurrency=None,
-    use_actor_pool: bool = False,
 ):
     """Attach the flagship stages to a pages Dataset; returns the lazy
     result Dataset (consume with write_parquet / iter_batches).
 
-    Execution mode for the extract stage: stateless tasks with
-    process-level warm parser state by default (Ray reuses worker
-    processes, so state amortizes exactly like an actor pool while tasks
-    schedule elastically — measured 2-3× faster end-to-end than a fixed
-    pool on this engine). ``use_actor_pool=True`` switches to an explicit
-    actor pool (``concurrency`` = size or (min, max)), the right mode when
-    per-worker state is heavyweight (models, big indexes).
+    The extract stage runs as stateless tasks: Ray reuses worker processes,
+    so module-level parser state stays warm while tasks schedule
+    elastically (measured 2-3× faster end-to-end than a fixed actor pool on
+    this engine). ``query`` picks the extraction flavor (see
+    :class:`..stages.extract.DocumentExtractor`).
     """
     config = config or EngineConfig()
     ds = ds.map_batches(
@@ -57,20 +51,11 @@ def extraction_pipeline(
         batch_format="pyarrow",
         batch_size=config.html_batch_size,
     )
-    if use_actor_pool:
-        ds = ds.map_batches(
-            DocumentExtractor,
-            batch_format="pyarrow",
-            batch_size=config.html_batch_size,
-            fn_constructor_kwargs={"config": config, "query": query},
-            concurrency=concurrency if concurrency is not None else config.extract_concurrency,
-        )
-    else:
-        ds = ds.map_batches(
-            functools.partial(extract_batch, config=config, query=query),
-            batch_format="pyarrow",
-            batch_size=config.html_batch_size,
-        )
+    ds = ds.map_batches(
+        functools.partial(extract_batch, config=config, query=query),
+        batch_format="pyarrow",
+        batch_size=config.html_batch_size,
+    )
     ds = ds.map_batches(
         functools.partial(validate_batch, config=config),
         batch_format="pyarrow",

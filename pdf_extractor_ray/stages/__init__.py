@@ -5,8 +5,9 @@ Each stage is a function or callable class passed to
 from the object store). Stage order for the flagship pipeline
 (SURVEY.md §7.1):
 
-``normalize_route`` → ``DocumentExtractor`` (actor pool) → ``validate_batch``
-→ per-partition metrics aggregate → partitioned parquet sink.
+``normalize_route`` → ``extract_batch`` (one ``DocumentExtractor`` per
+batch, stateless tasks) → ``validate_batch`` → per-partition metrics
+aggregate → partitioned parquet sink.
 
 The hot extract+validate path is deliberately shuffle-free: chunk-splitting
 of oversized documents and chunk reassembly happen *inside* the extractor

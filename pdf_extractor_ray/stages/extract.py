@@ -1,19 +1,21 @@
-"""Document extraction stage: warm actor pool over Arrow batches.
+"""Document extraction stage: stateless ``map_batches`` tasks over Arrow batches.
 
 One callable class handles both payload branches per row (HTML boilerplate
 strip / toy-PDF layout analysis) so the stream never splits (a Ray Data
-``filter`` branch would re-execute the upstream DAG). State — config,
-compiled patterns, the workflow route table — is built once per actor in
-``__init__`` (the Ray analogue of the reference's process-wide singleton
-clients, reference: src/services/client_factory.py:19-135) and reused per
-batch in ``__call__``.
+``filter`` branch would re-execute the upstream DAG). ``extract_batch``
+builds a :class:`DocumentExtractor` per batch: its state is the config, the
+query's extraction flavor and the corpus-wide password, so construction is
+cheap; the compiled patterns live at module level and stay warm in the
+reused worker processes (the Ray analogue of the reference's process-wide
+singleton clients, reference: src/services/client_factory.py:19-135).
 
 Skew handling: rows flagged ``needs_split`` are cut into page-range chunks
 (reference: src/services/pdf_processor.py:29-68 semantics) and the chunks'
 per-page markdowns are reassembled *inside the UDF* — all chunks of a
 document originate from one input row, so they are already co-located and
 no shuffle is needed. See ``..stages.split`` for the explicit dataflow
-variant used when single documents exceed task memory.
+variant used when single documents exceed task memory; both share
+:func:`row_passwords` and :func:`chunk_pages`.
 """
 
 from __future__ import annotations
@@ -27,11 +29,43 @@ from ..functions.pdf_extract import extract_pdf_pages
 from ..functions.routing import ROUTE_PDF, ROUTE_HTML, get_workflow_for_query
 from ..functions.split import split_payload
 
-EXTRACT_COLUMNS = ("extracted_text", "n_pages", "n_blocks", "n_tables", "n_chunks")
+
+def row_passwords(batch: pa.Table, config: EngineConfig) -> list[bytes]:
+    """One PDF password per row: the row's ``config.pdf_password_col`` value
+    (string or binary) where the batch has that column and the row a value,
+    else the corpus-wide ``config.pdf_password``."""
+    default = (config.pdf_password or "").encode("utf-8")
+    pw_col = config.pdf_password_col
+    if not (pw_col and pw_col in batch.column_names):
+        return [default] * len(batch)
+    return [
+        default
+        if v is None
+        else (bytes(v) if isinstance(v, (bytes, bytearray)) else str(v).encode("utf-8"))
+        for v in batch[pw_col].to_pylist()
+    ]
+
+
+def chunk_pages(
+    chunk: bytes, route: str, config: EngineConfig, password: bytes
+) -> tuple[list[str], dict]:
+    """Per-page markdowns and stats of one chunk (or one whole payload):
+    PDF routes go to the layout kernel, everything else to the HTML
+    extractor."""
+    if route == ROUTE_PDF:
+        # Split chunks arrive in the plaintext internal record format; the
+        # password only matters for un-split payloads and for undecodable
+        # ones that fell through the split whole.
+        return extract_pdf_pages(chunk, password=password)
+    return extract_html_pages(
+        chunk.decode("utf-8", errors="replace"),
+        config.min_block_text_len,
+        config.max_link_density,
+    )
 
 
 class DocumentExtractor:
-    """``map_batches`` actor: ``(html, route, needs_split, ...)`` rows →
+    """Batch callable: ``(html, route, needs_split, ...)`` rows →
     ``extracted_text`` + extraction metrics columns, payload column dropped
     (the shuffle-heavy downstream stages must never carry raw payload
     bytes)."""
@@ -47,8 +81,8 @@ class DocumentExtractor:
             self.flavor = "text_extraction"  # article + per-cell bidi fix
         else:
             self.flavor = "article"
-        # Corpus-wide encrypted-PDF credential (per-row sidecar passwords
-        # override in __call__ via config.pdf_password_col).
+        # Corpus-wide encrypted-PDF credential, for calls that pass no
+        # per-row password.
         self._pw = (self.config.pdf_password or "").encode("utf-8")
 
     def _extract_one(
@@ -67,17 +101,7 @@ class DocumentExtractor:
             all_pages: list[str] = []
             n_blocks = n_tables = 0
             for chunk in chunks:
-                if route == ROUTE_PDF:
-                    # Chunks arrive in the plaintext internal record format;
-                    # the password only matters when an undecodable payload
-                    # fell through the split whole.
-                    pages, stats = extract_pdf_pages(chunk, password=pw)
-                else:
-                    pages, stats = extract_html_pages(
-                        chunk.decode("utf-8", errors="replace"),
-                        cfg.min_block_text_len,
-                        cfg.max_link_density,
-                    )
+                pages, stats = chunk_pages(chunk, route, cfg, pw)
                 all_pages.extend(pages)
                 n_blocks += stats.get("n_blocks_kept", stats.get("n_blocks", 0))
                 n_tables += stats.get("n_tables", 0)
@@ -114,19 +138,11 @@ class DocumentExtractor:
         )
         return text, stats["n_pages"], stats["n_blocks_kept"], stats["n_tables"], 1
 
-    def __call__(self, batch: pa.Table) -> pa.Table:  # noqa: C901
+    def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch["html"]
         routes = batch["route"].to_pylist()
         needs_split = batch["needs_split"].to_pylist()
-        pw_col = self.config.pdf_password_col
-        row_pws: list | None = None
-        if pw_col and pw_col in batch.column_names:
-            row_pws = [
-                None
-                if v is None
-                else (bytes(v) if isinstance(v, (bytes, bytearray)) else str(v).encode("utf-8"))
-                for v in batch[pw_col].to_pylist()
-            ]
+        row_pws = row_passwords(batch, self.config)
         texts, n_pages, n_blocks, n_tables, n_chunks = [], [], [], [], []
         errors: list[str | None] = []
         for i in range(len(batch)):
@@ -141,7 +157,7 @@ class DocumentExtractor:
                     payloads[i].as_py(),
                     routes[i],
                     bool(needs_split[i]),
-                    password=None if row_pws is None else row_pws[i],
+                    password=row_pws[i],
                 )
                 errors.append(None)
             except Exception as exc:  # noqa: BLE001 — containment boundary
@@ -153,8 +169,8 @@ class DocumentExtractor:
             n_tables.append(tables)
             n_chunks.append(chunks)
         drop = ["html", "needs_split"]
-        if row_pws is not None:
-            drop.append(pw_col)  # credentials never flow downstream
+        if self.config.pdf_password_col in batch.column_names:
+            drop.append(self.config.pdf_password_col)  # credentials never flow downstream
         out = batch.drop_columns(drop)
         return (
             out.append_column("extracted_text", pa.array(texts, pa.string()))
@@ -166,24 +182,8 @@ class DocumentExtractor:
         )
 
 
-# Per-worker-process extractor cache for the stateless-task execution mode.
-# Ray reuses worker processes across tasks, so this is the same "warm
-# parser state" an actor pool provides, with elastic task scheduling on
-# top. Benchmarks on this engine showed a fixed actor pool 2-3× slower on
-# short jobs (staggered actor startup serializes the ramp); the actor-pool
-# mode (``use_actor_pool=True`` in the pipeline) remains the right choice
-# when per-worker state is heavyweight (models, large indexes).
-_EXTRACTOR_CACHE: dict[tuple, DocumentExtractor] = {}
-
-
 def extract_batch(
     batch: pa.Table, config: EngineConfig | None = None, query: str | None = None
 ) -> pa.Table:
-    """Stateless-task form of :class:`DocumentExtractor` with process-level
-    warm state."""
-    key = (repr(config), query)
-    extractor = _EXTRACTOR_CACHE.get(key)
-    if extractor is None:
-        extractor = DocumentExtractor(config, query)
-        _EXTRACTOR_CACHE[key] = extractor
-    return extractor(batch)
+    """Task form of :class:`DocumentExtractor` (the pipeline's extract stage)."""
+    return DocumentExtractor(config, query)(batch)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 METRIC_FIELDS = (
     "docs",
@@ -27,37 +28,34 @@ METRIC_FIELDS = (
 
 
 def partial_metrics(batch: pa.Table) -> pa.Table:
-    """Per-batch partial aggregate: one row per partition_id present."""
-    df = pd.DataFrame(
+    """Per-batch partial aggregate: one row per partition_id present, sorted
+    by partition_id; columns ``partition_id`` + ``METRIC_FIELDS``, all int64.
+    The commit sink takes a partition's metrics row from here too."""
+    validated = pc.is_valid(batch["similarity"])
+    per_row = pa.table(
         {
-            "partition_id": batch["partition_id"].to_numpy(zero_copy_only=False),
-            "bytes_in": batch["payload_bytes"].to_numpy(zero_copy_only=False),
-            "bytes_out": [len(t) for t in batch["extracted_text"].to_pylist()],
-            "has_problem": batch["has_problem"].to_numpy(zero_copy_only=False),
-            "replaced": [s == "provided" for s in batch["source"].to_pylist()],
-            "failed": [
-                (sim is not None and not ok)
-                for sim, ok in zip(
-                    batch["similarity"].to_pylist(), batch["passed"].to_pylist()
-                )
-            ],
-            "validated": [sim is not None for sim in batch["similarity"].to_pylist()],
+            "partition_id": batch["partition_id"].cast(pa.int64()),
+            "bytes_in": batch["payload_bytes"].cast(pa.int64()),
+            "bytes_out": pc.utf8_length(batch["extracted_text"]).cast(pa.int64()),
+            "n_problem_docs": batch["has_problem"].cast(pa.int64()),
+            "n_replaced": pc.equal(batch["source"], "provided").cast(pa.int64()),
+            "n_failed_validation": pc.and_(validated, pc.invert(batch["passed"])).cast(
+                pa.int64()
+            ),
+            "n_validated": validated.cast(pa.int64()),
         }
     )
-    grouped = df.groupby("partition_id", sort=True)
-    out = pd.DataFrame(
-        {
-            "partition_id": list(grouped.groups.keys()),
-            "docs": grouped.size().to_numpy(),
-            "bytes_in": grouped["bytes_in"].sum().to_numpy(),
-            "bytes_out": grouped["bytes_out"].sum().to_numpy(),
-            "n_problem_docs": grouped["has_problem"].sum().to_numpy(),
-            "n_replaced": grouped["replaced"].sum().to_numpy(),
-            "n_failed_validation": grouped["failed"].sum().to_numpy(),
-            "n_validated": grouped["validated"].sum().to_numpy(),
-        }
+    summed = METRIC_FIELDS[1:]
+    grouped = per_row.group_by("partition_id").aggregate(
+        [([], "count_all")] + [(f, "sum") for f in summed]
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pa.table(
+        {
+            "partition_id": grouped["partition_id"],
+            "docs": grouped["count_all"],
+            **{f: grouped[f"{f}_sum"] for f in summed},
+        }
+    ).sort_by("partition_id")
 
 
 def partition_metrics(ds):

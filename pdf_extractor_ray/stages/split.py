@@ -8,7 +8,8 @@ The scale path for documents too large for one task (SURVEY.md §7.1
 as a batch transform so it stays vectorized and schema-stable).
 
 ``extract_chunks``   — per-chunk extraction producing ``page_markdowns``
-(list<string>) instead of combined text.
+(list<string>) instead of combined text (the single-pass stage's
+``chunk_pages``).
 
 ``reassemble_chunks`` — ``groupby("url").map_groups``: in-group sort by
 ``chunk_idx``, concatenate page lists, apply the canonical page combine
@@ -28,25 +29,8 @@ import pyarrow as pa
 
 from ..config import EngineConfig
 from ..functions.assemble import combine_pages
-from ..functions.html_extract import extract_html_pages
-from ..functions.pdf_extract import extract_pdf_pages
-from ..functions.routing import ROUTE_PDF
 from ..functions.split import split_payload
-
-
-def _row_passwords(batch: pa.Table, config: EngineConfig) -> list | None:
-    """Per-row passwords from ``config.pdf_password_col`` (None where the
-    row has none — callers fall back to the corpus-wide password). Same
-    semantics as the single-pass extract stage."""
-    pw_col = config.pdf_password_col
-    if not (pw_col and pw_col in batch.column_names):
-        return None
-    return [
-        None
-        if v is None
-        else (bytes(v) if isinstance(v, (bytes, bytearray)) else str(v).encode("utf-8"))
-        for v in batch[pw_col].to_pylist()
-    ]
+from .extract import chunk_pages, row_passwords
 
 
 def split_oversized(batch: pa.Table, config: EngineConfig | None = None) -> pa.Table:
@@ -59,8 +43,7 @@ def split_oversized(batch: pa.Table, config: EngineConfig | None = None) -> pa.T
     payloads = batch["html"]
     routes = batch["route"].to_pylist()
     needs_split = batch["needs_split"].to_pylist()
-    default_pw = (config.pdf_password or "").encode("utf-8")
-    row_pws = _row_passwords(batch, config)
+    row_pws = row_passwords(batch, config)
     indices: list[int] = []
     chunk_payloads: list[bytes] = []
     chunk_idx: list[int] = []
@@ -68,10 +51,9 @@ def split_oversized(batch: pa.Table, config: EngineConfig | None = None) -> pa.T
     for i in range(len(batch)):
         payload = payloads[i].as_py()
         if needs_split[i] and payload is not None:
-            pw = default_pw if row_pws is None or row_pws[i] is None else row_pws[i]
             try:
                 chunks = split_payload(
-                    payload, routes[i], config.max_pages_per_chunk, password=pw
+                    payload, routes[i], config.max_pages_per_chunk, password=row_pws[i]
                 )
             except Exception:  # malformed payload: pass through whole
                 chunks = [payload]
@@ -96,31 +78,19 @@ def extract_chunks(batch: pa.Table, config: EngineConfig | None = None) -> pa.Ta
     config = config or EngineConfig()
     payloads = batch["html"]
     routes = batch["route"].to_pylist()
-    default_pw = (config.pdf_password or "").encode("utf-8")
-    row_pws = _row_passwords(batch, config)
+    row_pws = row_passwords(batch, config)
     pages_col: list[list[str]] = []
     for i in range(len(batch)):
         payload = payloads[i].as_py()
-        pw = default_pw if row_pws is None or row_pws[i] is None else row_pws[i]
-        try:
-            if payload is None:
-                pages_col.append([])
-            elif routes[i] == ROUTE_PDF:
-                # Chunks are plaintext record format; the password matters
-                # for small un-split rows and undecodable pass-throughs.
-                pages, _ = extract_pdf_pages(payload, password=pw)
-                pages_col.append(pages)
-            else:
-                pages, _ = extract_html_pages(
-                    payload.decode("utf-8", errors="replace"),
-                    config.min_block_text_len,
-                    config.max_link_density,
-                )
-                pages_col.append(pages)
-        except Exception:  # per-document containment (see stages/extract.py)
-            pages_col.append([])
+        pages: list[str] = []
+        if payload is not None:
+            try:
+                pages, _ = chunk_pages(payload, routes[i], config, row_pws[i])
+            except Exception:  # per-document containment (see stages/extract.py)
+                pages = []
+        pages_col.append(pages)
     drop = ["html", "needs_split"]
-    if row_pws is not None:
+    if config.pdf_password_col in batch.column_names:
         drop.append(config.pdf_password_col)  # credentials never flow downstream
     return batch.drop_columns(drop).append_column(
         "page_markdowns", pa.array(pages_col, pa.list_(pa.string()))

@@ -216,7 +216,10 @@ class TestPasswordPlumbing:
         }
         return plain, enc
 
-    def _run(self, payload_by_url: dict, config: EngineConfig, extra_cols=None):
+    def _run(
+        self, payload_by_url: dict, config: EngineConfig, extra_cols=None,
+        pipeline=extraction_pipeline,
+    ):
         import ray.data as rd
 
         cols = {
@@ -226,7 +229,7 @@ class TestPasswordPlumbing:
         }
         cols.update(extra_cols or {})
         ds = rd.from_arrow(pa.table(cols)).repartition(4)
-        return extraction_pipeline(ds, config=config)
+        return pipeline(ds, config=config)
 
     def test_corpus_wide_password(self, ray_session, enc_corpus):
         plain, enc = enc_corpus
@@ -250,7 +253,12 @@ class TestPasswordPlumbing:
             e and "password" in e for e in table["extract_error"].to_pylist()
         )
 
-    def test_per_row_password_column(self, ray_session, enc_corpus):
+    @pytest.mark.parametrize(
+        "pipeline",
+        [extraction_pipeline, extraction_pipeline_explicit_split],
+        ids=["single_pass", "explicit_split"],
+    )
+    def test_per_row_password_column(self, ray_session, enc_corpus, pipeline):
         from pdf_extractor_ray.functions.pdf_codec import build_pdf
 
         plain, _ = enc_corpus
@@ -270,6 +278,7 @@ class TestPasswordPlumbing:
                 enc,
                 EngineConfig(pdf_password_col="doc_pw", validation_enabled=False),
                 extra_cols={"doc_pw": pws},
+                pipeline=pipeline,
             )
         )
         got = dict(zip(out["url"].to_pylist(), out["extracted_text"].to_pylist()))

@@ -102,6 +102,7 @@ def _validated_block(start: int, n_rows: int):
             "similarity": pa.array([None] * n_rows, pa.float64()),
             "passed": [True] * n_rows,
             "source": ["extracted"] * n_rows,
+            "n_pages_validated": pa.array([0] * n_rows, pa.int32()),
         }
     )
 
