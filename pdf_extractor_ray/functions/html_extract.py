@@ -2,7 +2,8 @@
 
 This is the engine's analogue of the reference's OCR extraction step
 (reference: src/services/extraction_service.py:26-114 — per-page markdown with
-tables rendered as pipe tables): a single-pass DOM tokenizer (stdlib
+tables rendered as pipe tables): a single-pass tokenizer (one regex scanner
+that builds the blocks as it goes, differential-tested against stdlib
 ``html.parser``) producing a block-feature stream, followed by
 Boilerpipe/trafilatura-style text-density / link-density block scoring. Pure
 and wall-clock-free so the same bytes produce byte-identical markdown at any
@@ -38,14 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from html import unescape as _unescape
-from html.parser import HTMLParser
 import re
 
 from .assemble import EMPTY_CONTENT_MESSAGE, combine_pages
 from .normalize import fix_bidi_text
 from .tables import MergedTable, PageTable, merge_tables_across_pages
-
-_WS_RE = re.compile(r"\s+")
 
 IGNORED_TAGS = frozenset({"script", "style", "noscript", "template", "svg", "head", "iframe"})
 BOILERPLATE_TAGS = frozenset({"nav", "header", "footer", "aside", "form", "button"})
@@ -80,8 +78,7 @@ class Block:
     table: PageTable | None = None
     # Raw-source char span [span_start, span_end) covering the block's
     # text runs — provenance for span-level training-data alignment.
-    # Tracked by the fast engine (the regex scanner knows positions);
-    # stdlib-engine and synthetic runs carry -1 (SURVEY north star:
+    # Table blocks and synthetic runs carry -1 (SURVEY north star:
     # "reconciles extracted spans against the provided text column").
     span_start: int = field(default=-1, compare=False)
     span_end: int = field(default=-1, compare=False)
@@ -91,279 +88,19 @@ class Block:
         return self.link_len / self.text_len if self.text_len else 0.0
 
 
-class _Tokenizer(HTMLParser):
-    """Single-pass DOM walk producing the block stream."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.blocks: list[Block] = []
-        self.page = 0
-        self.n_page_divs = 0
-        self._ignore_depth = 0
-        self._boiler_depth = 0
-        self._link_depth = 0
-        self._li_depth = 0
-        self._pre_depth = 0
-        self._quote_depth = 0
-        self._heading: str | None = None
-        self._parts: list[str] = []
-        self._link_chars = 0
-        # table state
-        self._table: PageTable | None = None
-        self._table_depth = 0
-        self._rows: list[list[str]] = []
-        self._row: list[str] | None = None
-        self._cell: list[str] | None = None
-        self._row_has_th = False
-        self._first_row_th = False
-        # Open block-element stack: (tag, is_boilerplate). Implicit end tags
-        # (messy HTML) are handled by popping to the nearest matching tag.
-        self._stack: list[tuple[str, bool]] = []
-        # Source-position tracking (fast engine sets these around
-        # handle_data; -1 = position unknown/synthetic).
-        self._cur_pos = -1
-        self._cur_end = -1
-        self._span_start = -1
-        self._span_end = -1
-
-    # -- block accumulation -------------------------------------------------
-    def _flush(self) -> None:
-        if self._pre_depth:
-            # Preformatted content keeps its whitespace verbatim
-            # (rendered as a fenced code block).
-            raw = "".join(self._parts).strip("\n")
-        else:
-            raw = _WS_RE.sub(" ", "".join(self._parts)).strip()
-        if raw:
-            if self._heading:
-                kind = "heading"
-            elif self._pre_depth:
-                kind = "pre"
-            elif self._li_depth:
-                kind = "list_item"
-            elif self._quote_depth:
-                kind = "blockquote"
-            else:
-                kind = "text"
-            level = int(self._heading[1]) if self._heading else 0
-            self.blocks.append(
-                Block(
-                    kind=kind,
-                    page=self.page,
-                    text=raw,
-                    text_len=len(raw),
-                    link_len=min(self._link_chars, len(raw)),
-                    boilerplate=self._boiler_depth > 0,
-                    heading_level=level,
-                    span_start=self._span_start,
-                    span_end=self._span_end,
-                )
-            )
-        self._parts = []
-        self._link_chars = 0
-        self._span_start = -1
-        self._span_end = -1
-
-    @staticmethod
-    def _is_boiler_attrs(attrs: list[tuple[str, str | None]]) -> bool:
-        for key, value in attrs:
-            if key in ("class", "id", "role") and value:
-                tokens = re.split(r"[\s_\-]+", value.lower())
-                if any(tok in BOILERPLATE_CLASS_TOKENS for tok in tokens):
-                    return True
-        return False
-
-    @staticmethod
-    def _is_page_div(tag: str, attrs: list[tuple[str, str | None]]) -> bool:
-        if tag != "div":
-            return False
-        for key, value in attrs:
-            if key == "class" and value:
-                if "page" in re.split(r"[\s_\-]+", value.lower()):
-                    return True
-        return False
-
-    # -- HTMLParser hooks ---------------------------------------------------
-    def handle_starttag(self, tag, attrs):
-        if tag in IGNORED_TAGS:
-            self._ignore_depth += 1
-            return
-        if self._ignore_depth:
-            return
-        if tag == "a":
-            self._link_depth += 1
-            return
-        if tag == "table":
-            self._table_depth += 1
-            if self._table_depth == 1:
-                self._flush()
-                self._table = PageTable([], [], self.page)
-                self._rows = []
-                self._first_row_th = False
-            return
-        if self._table is not None:
-            if self._table_depth > 1:
-                return  # nested table: structure flattens into the open cell
-            if tag == "tr":
-                self._end_row()
-                self._row = []
-                self._row_has_th = False
-            elif tag in ("td", "th"):
-                self._end_cell()
-                self._cell = []
-                if tag == "th":
-                    self._row_has_th = True
-            return
-        if tag in BLOCK_TAGS or tag in BOILERPLATE_TAGS:
-            self._flush()
-            if self._is_page_div(tag, attrs):
-                self.n_page_divs += 1
-                self.page = self.n_page_divs
-            if tag in HEADING_TAGS:
-                self._heading = tag
-            if tag == "li":
-                self._li_depth += 1
-            elif tag == "pre":
-                self._pre_depth += 1
-            elif tag == "blockquote":
-                self._quote_depth += 1
-            is_boiler = tag in BOILERPLATE_TAGS or self._is_boiler_attrs(attrs)
-            if is_boiler:
-                self._boiler_depth += 1
-            self._stack.append((tag, is_boiler))
-        elif tag == "br":
-            self._parts.append(" ")
-
-    def handle_endtag(self, tag):
-        if tag in IGNORED_TAGS:
-            self._ignore_depth = max(0, self._ignore_depth - 1)
-            return
-        if self._ignore_depth:
-            return
-        if tag == "a":
-            self._link_depth = max(0, self._link_depth - 1)
-            return
-        if tag == "table":
-            if self._table_depth == 1 and self._table is not None:
-                self._end_row()
-                self._finish_table()
-            self._table_depth = max(0, self._table_depth - 1)
-            return
-        if self._table is not None:
-            if self._table_depth > 1:
-                return  # nested table: see handle_starttag
-            if tag == "tr":
-                self._end_row()
-            elif tag in ("td", "th"):
-                self._end_cell()
-            return
-        if tag in BLOCK_TAGS or tag in BOILERPLATE_TAGS:
-            self._flush()
-            if tag in HEADING_TAGS and self._heading == tag:
-                self._heading = None
-            # Pop to the nearest matching open element (implicit end tags).
-            if any(t == tag for t, _ in self._stack):
-                while self._stack:
-                    popped_tag, popped_boiler = self._stack.pop()
-                    if popped_boiler:
-                        self._boiler_depth = max(0, self._boiler_depth - 1)
-                    if popped_tag == "li":
-                        self._li_depth = max(0, self._li_depth - 1)
-                    elif popped_tag == "pre":
-                        self._pre_depth = max(0, self._pre_depth - 1)
-                    elif popped_tag == "blockquote":
-                        self._quote_depth = max(0, self._quote_depth - 1)
-                    if popped_tag == tag:
-                        break
-
-    def handle_data(self, data):
-        if self._ignore_depth or not data:
-            return
-        if self._cell is not None:
-            self._cell.append(data)
-            return
-        if self._table is not None:
-            return  # stray text between table cells is layout noise
-        self._parts.append(data)
-        if self._cur_pos >= 0 and data.strip():
-            if self._span_start < 0:
-                self._span_start = self._cur_pos
-            self._span_end = self._cur_end
-        if self._link_depth:
-            self._link_chars += len(_WS_RE.sub(" ", data).strip())
-
-    # -- table helpers ------------------------------------------------------
-    def _end_cell(self) -> None:
-        if self._cell is not None and self._row is not None:
-            self._row.append(_WS_RE.sub(" ", "".join(self._cell)).strip())
-        self._cell = None
-
-    def _end_row(self) -> None:
-        self._end_cell()
-        if self._row is not None and self._row:
-            if not self._rows:
-                self._first_row_th = self._row_has_th
-            self._rows.append(self._row)
-        self._row = None
-
-    def _finish_table(self) -> None:
-        table = self._table
-        self._table = None
-        if table is None or not self._rows:
-            return
-        if (
-            not self._first_row_th
-            and len(self._rows) == 1
-            and len(self._rows[0]) == 1
-        ):
-            # Layout table (single headerless cell — the classic old-web
-            # centering shell): unwrap to a plain text block.
-            text = self._rows[0][0]
-            self._rows = []
-            if text:
-                self.blocks.append(
-                    Block(
-                        kind="text",
-                        page=table.page,
-                        text=text,
-                        text_len=len(text),
-                        boilerplate=self._boiler_depth > 0,
-                    )
-                )
-            return
-        if self._first_row_th:
-            table.headers = self._rows[0]
-            table.data_rows = self._rows[1:]
-            table.has_headers = True
-        else:
-            table.headers = []
-            table.data_rows = self._rows
-            table.has_headers = False
-        self.blocks.append(
-            Block(
-                kind="table",
-                page=table.page,
-                text_len=sum(len(c) for r in self._rows for c in r),
-                boilerplate=self._boiler_depth > 0,
-                table=table,
-            )
-        )
-        self._rows = []
-
-
 # ---------------------------------------------------------------------------
-# Fast regex-based frontend
+# Tokenizer
 # ---------------------------------------------------------------------------
-# The block-builder state machine above is frontend-agnostic: its handle_*
-# methods can be driven by stdlib html.parser (reference implementation —
-# handles every corner of real-world HTML) or by this regex scanner, which
-# produces an identical block stream ~3× faster on typical pages
-# (differential-tested in tests/test_html_fast.py). The scanner only parses
-# attributes for tags whose attributes matter (page divs, boilerplate
-# classes), skips <script>/<style> raw content with a single find, and
-# unescapes entities lazily.
+# One regex scanner walks the page and builds the block stream in the same
+# loop, its state in local variables. tests/test_html_fast.py checks it block
+# for block against reference tokenizers driven by stdlib html.parser and by
+# the regex frontend it replaced (tests/html_oracle.py). Only the tags in
+# _ACTIVE_TAGS change the state; attributes are parsed only where they are
+# read (block and boilerplate start tags outside tables), <script>/<style>
+# raw content is skipped with a single find, and entities are unescaped only
+# in runs that contain '&'.
 
-_FAST_TOKEN_RE = re.compile(
+_TOKEN_RE = re.compile(
     r"<!--.*?-->"                        # comments
     r"|<!\[[A-Za-z]*\[.*?\]\]>"          # marked sections: CDATA/INCLUDE/…
     r"|<![^>]*>"                          # doctype / declarations
@@ -378,110 +115,323 @@ _FAST_TOKEN_RE = re.compile(
     r"|<",                                # stray '<' → literal text
     re.DOTALL,
 )
-_FAST_ATTR_RE = re.compile(
+_ATTR_RE = re.compile(
     r"([a-zA-Z][a-zA-Z0-9_:-]*)\s*(?:=\s*(\"[^\"]*\"|'[^']*'|[^\s>]*))?"
 )
-# Tags whose attributes the block builder inspects (page divs, boilerplate
-# class/id/role); all others get an empty attr list — parsing skipped.
-_ATTR_TAGS = BLOCK_TAGS | BOILERPLATE_TAGS
+_CLASS_SPLIT_RE = re.compile(r"[\s_\-]+")
 _RAW_TEXT_TAGS = ("script", "style")  # html.parser CDATA_CONTENT_ELEMENTS
+_BLOCK_OR_BOILER = BLOCK_TAGS | BOILERPLATE_TAGS
+# Every other tag leaves the block state unchanged, so it is skipped unseen.
+_ACTIVE_TAGS = IGNORED_TAGS | _BLOCK_OR_BOILER | {"a", "table", "tr", "td", "th", "br"}
+# Tag events per token, as `closing` flags: a self-closing start tag is a
+# start tag followed by its end tag.
+_OPEN, _CLOSE, _OPEN_CLOSE = (False,), (True,), (False, True)
 
 
-def _fast_parse_attrs(raw: str) -> list[tuple[str, str | None]]:
-    attrs: list[tuple[str, str | None]] = []
-    for match in _FAST_ATTR_RE.finditer(raw):
-        name = match.group(1).lower()
+def _classify_attrs(tag: str, raw: str) -> tuple[bool, bool]:
+    """``(is_page_div, has_boilerplate_attr)`` for a start tag's raw
+    attribute text: a ``div`` whose class has a ``page`` token marks a page
+    boundary; a class/id/role token in BOILERPLATE_CLASS_TOKENS marks
+    navigation chrome."""
+    is_page = is_boiler = False
+    for match in _ATTR_RE.finditer(raw):
+        key = match.group(1).lower()
         value = match.group(2)
-        if value:
-            if value[:1] in ("\"", "'"):
-                value = value[1:-1]
-            if "&" in value:
-                value = _unescape(value)
-        attrs.append((name, value))
-    return attrs
+        if not value or key not in ("class", "id", "role"):
+            continue
+        if value[0] in "\"'":
+            value = value[1:-1]
+        if "&" in value:
+            value = _unescape(value)
+        if not value:
+            continue
+        tokens = _CLASS_SPLIT_RE.split(value.lower())
+        if key == "class" and tag == "div" and "page" in tokens:
+            is_page = True
+        if not is_boiler:
+            is_boiler = any(tok in BOILERPLATE_CLASS_TOKENS for tok in tokens)
+    return is_page, is_boiler
 
 
-def _fast_feed(html: str, builder: "_Tokenizer") -> None:
-    pos = 0
-    n = len(html)
-    lower = None  # lazily lowered copy for raw-content close-tag search
+def _text_block(
+    parts: list[str],
+    page: int,
+    heading: str | None,
+    pre_depth: int,
+    li_depth: int,
+    quote_depth: int,
+    boilerplate: bool,
+    link_chars: int,
+    span_start: int,
+    span_end: int,
+) -> Block | None:
+    """The block for the text pending at a block boundary (None when it is
+    all whitespace). Whitespace runs collapse to one space, except inside
+    ``<pre>``, whose content is kept verbatim (a fenced code block)."""
+    if pre_depth:
+        text = "".join(parts).strip("\n")
+    else:
+        text = " ".join("".join(parts).split())
+    if not text:
+        return None
+    if heading:
+        kind = "heading"
+    elif pre_depth:
+        kind = "pre"
+    elif li_depth:
+        kind = "list_item"
+    elif quote_depth:
+        kind = "blockquote"
+    else:
+        kind = "text"
+    return Block(
+        kind=kind,
+        page=page,
+        text=text,
+        text_len=len(text),
+        link_len=min(link_chars, len(text)),
+        boilerplate=boilerplate,
+        heading_level=int(heading[1]) if heading else 0,
+        span_start=span_start,
+        span_end=span_end,
+    )
+
+
+def tokenize_blocks(html: str) -> list[Block]:
+    """Tokenize HTML into the raw block-feature stream (pre-scoring).
+
+    Text accumulates between block-level tag boundaries, tracking the
+    linked characters and the raw-source span of its non-blank runs.
+    Block elements nest on a stack of ``(tag, is_boilerplate)``; an end tag
+    pops to its nearest open match (implicit end tags in messy HTML).
+    Tables collect rows of cells; a nested table flattens into the open
+    cell, and a table still open at the end of input is dropped.
+    """
+    blocks: list[Block] = []
+    page = 0
+    ignore_depth = boiler_depth = link_depth = li_depth = pre_depth = quote_depth = 0
+    heading: str | None = None
+    stack: list[tuple[str, bool]] = []
+    # pending text
+    parts: list[str] = []
+    link_chars = 0
+    span_start = span_end = -1
+    # open table (table_depth > 0); nested tables only count depth
+    table_depth = 0
+    rows: list[list[str]] = []
+    row: list[str] | None = None
+    cell: list[str] | None = None
+    row_has_th = first_row_th = False
+
+    match_token = _TOKEN_RE.match
+    lower = None  # lazily lowered copy for the raw-content close-tag search
+    pos, n = 0, len(html)
     while pos < n:
-        match = _FAST_TOKEN_RE.match(html, pos)
-        if match is None:  # defensive; the alternation is total
-            builder.handle_data(html[pos])
-            pos += 1
-            continue
-        pos = match.end()
-        name = match.group(2)
+        match = match_token(html, pos)  # never None: the alternation is total
+        start, pos = pos, match.end()
+        slash, name, raw = match.groups()
         if name is None:
-            text = match.group(0)
-            if text[0] != "<":
-                if "&" in text:
-                    text = _unescape(text)
-                builder._cur_pos = match.start()
-                builder._cur_end = match.end()
-                builder.handle_data(text)
-                builder._cur_pos = builder._cur_end = -1
-            elif text == "<":
-                nxt = html[pos : pos + 1]
-                if nxt and (nxt.isalpha() or nxt in "/!?") and ">" not in html[pos:]:
-                    # Truncated tag at EOF (crawl cut mid-payload): drop
-                    # the unterminated tail, per browser EOF-in-tag
-                    # handling, instead of leaking it as text.
+            if html[start] != "<":
+                if ignore_depth:
+                    continue
+                data = html[start:pos]
+                if "&" in data:
+                    data = _unescape(data)
+                    if not data:
+                        continue
+            elif pos - start == 1:  # stray '<'
+                if (
+                    pos < n
+                    and (html[pos].isalpha() or html[pos] in "/!?")
+                    and html.find(">", pos) < 0
+                ):
+                    # Truncated tag at EOF (crawl cut mid-payload): drop the
+                    # unterminated tail, per browser EOF-in-tag handling,
+                    # instead of leaking it as text.
                     break
-                builder._cur_pos = match.start()
-                builder._cur_end = match.end()
-                builder.handle_data("<")
-                builder._cur_pos = builder._cur_end = -1
-            # comments/doctype/PI: dropped, same as the builder's stdlib path
+                if ignore_depth:
+                    continue
+                data = "<"
+            else:
+                continue  # comment, declaration, processing instruction
+            if cell is not None:
+                cell.append(data)
+            elif not table_depth:  # stray text between table cells is layout noise
+                parts.append(data)
+                if not data.isspace():
+                    if span_start < 0:
+                        span_start = start
+                    span_end = pos
+                if link_depth:
+                    link_chars += len(" ".join(data.split()))
             continue
+
         tag = name.lower()
-        if match.group(1):  # closing tag
-            builder.handle_endtag(tag)
+        if tag not in _ACTIVE_TAGS:
             continue
-        raw_attrs = match.group(3)
-        attrs = (
-            _fast_parse_attrs(raw_attrs)
-            if raw_attrs and tag in _ATTR_TAGS
-            else []
-        )
-        # Self-closing only when the trailing '/' is NOT part of an unquoted
-        # attribute value: html.parser's attrfind value pattern ([^>\s]*)
-        # swallows a '/' glued to an unquoted value (<div data-x=foo/> keeps
-        # the element open with value "foo/"), so the fast path must too —
-        # the '/' counts only after whitespace, a quote, or the bare tag name.
-        stripped = raw_attrs.rstrip() if raw_attrs else ""
-        self_closing = stripped.endswith("/") and (
-            len(stripped) == 1 or stripped[-2] in " \t\n\r\f\"'"
-        )
-        builder.handle_starttag(tag, attrs)
-        if self_closing:
-            builder.handle_endtag(tag)
-        elif tag in _RAW_TEXT_TAGS:
-            # Raw-content element: skip to its close tag in one find.
+        if slash:
+            events = _CLOSE
+        else:
+            events = _OPEN
+            if raw:
+                # Self-closing only when the trailing '/' is NOT part of an
+                # unquoted attribute value: html.parser's attribute value
+                # pattern ([^>\s]*) swallows a '/' glued to an unquoted value
+                # (<div data-x=foo/> keeps the element open with value
+                # "foo/"), so the '/' counts only after whitespace, a quote,
+                # or the bare tag name.
+                stripped = raw.rstrip()
+                if stripped[-1:] == "/" and (
+                    len(stripped) == 1 or stripped[-2] in " \t\n\r\f\"'"
+                ):
+                    events = _OPEN_CLOSE
+        for closing in events:
+            if tag in IGNORED_TAGS:
+                if not closing:
+                    ignore_depth += 1
+                elif ignore_depth:
+                    ignore_depth -= 1
+                continue
+            if ignore_depth:
+                continue
+            if tag == "a":
+                if not closing:
+                    link_depth += 1
+                elif link_depth:
+                    link_depth -= 1
+                continue
+            if table_depth:
+                if tag == "table":
+                    if not closing:
+                        table_depth += 1
+                        continue
+                    table_depth -= 1
+                    if table_depth:
+                        continue
+                elif table_depth > 1 or tag not in ("tr", "td", "th"):
+                    continue  # nested table: structure flattens into the open cell
+                # A cell, row or table boundary of the open table.
+                if cell is not None:
+                    if row is not None:
+                        row.append(" ".join("".join(cell).split()))
+                    cell = None
+                if tag != "tr" and tag != "table":
+                    if not closing:
+                        cell = []
+                        if tag == "th":
+                            row_has_th = True
+                    continue
+                if row:
+                    if not rows:
+                        first_row_th = row_has_th
+                    rows.append(row)
+                row = None
+                if tag == "tr":
+                    if not closing:
+                        row = []
+                        row_has_th = False
+                    continue
+                # </table>: the table block
+                if not rows:
+                    continue
+                boilerplate = boiler_depth > 0
+                if not first_row_th and len(rows) == 1 and len(rows[0]) == 1:
+                    # Layout table (single headerless cell — the classic
+                    # old-web centering shell): unwrap to a plain text block.
+                    text = rows[0][0]
+                    if text:
+                        blocks.append(
+                            Block(
+                                kind="text",
+                                page=page,
+                                text=text,
+                                text_len=len(text),
+                                boilerplate=boilerplate,
+                            )
+                        )
+                    continue
+                table = PageTable(
+                    rows[0] if first_row_th else [],
+                    rows[1:] if first_row_th else rows,
+                    page,
+                    has_headers=first_row_th,
+                )
+                blocks.append(
+                    Block(
+                        kind="table",
+                        page=page,
+                        text_len=sum(len(c) for r in rows for c in r),
+                        boilerplate=boilerplate,
+                        table=table,
+                    )
+                )
+                continue
+            if tag in _BLOCK_OR_BOILER:
+                if closing and tag == "table":
+                    continue  # stray </table>
+                if parts:
+                    block = _text_block(
+                        parts, page, heading, pre_depth, li_depth, quote_depth,
+                        boiler_depth > 0, link_chars, span_start, span_end,
+                    )
+                    if block is not None:
+                        blocks.append(block)
+                    parts = []
+                    link_chars = 0
+                    span_start = span_end = -1
+                if tag == "table":
+                    table_depth = 1
+                    rows = []
+                elif closing:
+                    if heading == tag:
+                        heading = None
+                    # Pop to the nearest matching open element.
+                    if (tag, False) in stack or (tag, True) in stack:
+                        while stack:
+                            popped, popped_boiler = stack.pop()
+                            if popped_boiler:
+                                boiler_depth -= 1
+                            if popped == "li":
+                                li_depth -= 1
+                            elif popped == "pre":
+                                pre_depth -= 1
+                            elif popped == "blockquote":
+                                quote_depth -= 1
+                            if popped == tag:
+                                break
+                else:
+                    is_page, is_boiler = _classify_attrs(tag, raw) if raw else (False, False)
+                    if is_page:
+                        page += 1
+                    if tag in HEADING_TAGS:
+                        heading = tag
+                    elif tag == "li":
+                        li_depth += 1
+                    elif tag == "pre":
+                        pre_depth += 1
+                    elif tag == "blockquote":
+                        quote_depth += 1
+                    is_boiler = is_boiler or tag in BOILERPLATE_TAGS
+                    if is_boiler:
+                        boiler_depth += 1
+                    stack.append((tag, is_boiler))
+            elif tag == "br" and not closing:
+                parts.append(" ")
+        if events is _OPEN and tag in _RAW_TEXT_TAGS:
+            # Raw-content element: skip to its close tag in one find (the
+            # content is ignored anyway).
             if lower is None:
                 lower = html.lower()
             close = lower.find(f"</{tag}", pos)
             pos = n if close < 0 else close
-            # (content dropped — the builder ignores it anyway)
-    # no trailing buffer: the regex consumes the input fully
-
-
-def tokenize_blocks(html: str, engine: str = "fast") -> list[Block]:
-    """Tokenize HTML into the raw block-feature stream (pre-scoring).
-
-    ``engine="fast"`` (default): regex scanner; ``engine="stdlib"``: the
-    html.parser frontend (reference implementation for the differential
-    test, and the fallback for HTML the scanner mishandles).
-    """
-    parser = _Tokenizer()
-    if engine == "stdlib":
-        parser.feed(html)
-        parser.close()
-    else:
-        _fast_feed(html, parser)
-    parser._flush()
-    return parser.blocks
+    if parts:
+        block = _text_block(
+            parts, page, heading, pre_depth, li_depth, quote_depth,
+            boiler_depth > 0, link_chars, span_start, span_end,
+        )
+        if block is not None:
+            blocks.append(block)
+    return blocks
 
 
 def score_blocks(
@@ -612,8 +562,8 @@ def extract_html_spans(
     ``(kind, span_start, span_end, text)`` tuple per kept block, where
     ``html[span_start:span_end]`` covers the block's raw text runs —
     the span-level alignment a training-data pipeline reconciles
-    against the provided text column (SURVEY north star). Fast-engine
-    feature; table blocks carry (-1, -1)."""
+    against the provided text column (SURVEY north star). Table blocks
+    carry (-1, -1)."""
     kept = score_blocks(
         tokenize_blocks(html), min_block_text_len, max_link_density
     )

@@ -71,6 +71,10 @@ def completed_partitions(out_dir: str) -> set[int]:
     return done
 
 
+def _metrics_path(out_dir: str, partition_id: int) -> str:
+    return os.path.join(out_dir, "_metrics", f"part={partition_id}.parquet")
+
+
 def _commit_partition(out_dir: str, partition_id: int, table: pa.Table) -> dict:
     """Write one partition's data + metrics, then atomically commit."""
     part_dir = os.path.join(out_dir, f"part={partition_id}")
@@ -90,8 +94,8 @@ def _commit_partition(out_dir: str, partition_id: int, table: pa.Table) -> dict:
     n_pages_validated = pc.sum(table["n_pages_validated"]).as_py()
     metrics["n_pages_validated"] = n_pages_validated
     metrics["est_validation_cost_usd"] = round(n_pages_validated * 500 * 0.01 / 1000, 4)
-    metrics_tmp = os.path.join(metrics_dir, f"part={partition_id}.parquet.tmp")
-    metrics_path = os.path.join(metrics_dir, f"part={partition_id}.parquet")
+    metrics_path = _metrics_path(out_dir, partition_id)
+    metrics_tmp = metrics_path + ".tmp"
     pq.write_table(
         pa.Table.from_pylist([metrics]), metrics_tmp
     )
@@ -105,12 +109,14 @@ def _commit_partition(out_dir: str, partition_id: int, table: pa.Table) -> dict:
     return metrics
 
 
-def _make_partition_writer(out_dir: str):
+def _make_partition_writer(out_dir: str, fail_at_partition: int | None = None):
     """map_groups fn: commits one partition group and returns its metrics
     row (the Dataset result is the metrics table)."""
 
     def write_partition_group(group: pa.Table) -> pa.Table:
         partition_id = int(group["partition_id"][0].as_py())
+        if partition_id == fail_at_partition:
+            raise RuntimeError(f"injected failure at partition {partition_id}")
         # Deterministic intra-partition order (url is unique per corpus
         # row), so the committed file is byte-stable across runs.
         order = pc.sort_indices(group["url"])
@@ -123,13 +129,15 @@ def _make_partition_writer(out_dir: str):
 def run_with_checkpoints(
     ds,
     out_dir: str,
-    fail_after_partitions: int | None = None,
+    fail_at_partition: int | None = None,
 ):
     """Consume a result Dataset into the checkpointed layout, skipping
-    already-committed partitions. Returns the metrics table (pandas).
+    already-committed partitions. Returns every committed partition's
+    metrics (pandas, as :func:`read_metrics` reads them): the rows the
+    writer returns plus the stored rows of partitions committed before.
 
-    ``fail_after_partitions`` is a test hook: raise once N commits have
-    been consumed, to exercise resume.
+    ``fail_at_partition`` is a test hook: the writer raises instead of
+    committing that partition, to exercise resume from a partial state.
 
     Per-operator resource reservation is switched off on ``ds.context``
     (never on ``DataContext.get_current()``): otherwise the idle writer
@@ -146,21 +154,20 @@ def run_with_checkpoints(
             batch_format="pyarrow",
         )
     ds.context.op_resource_reservation_enabled = False
-    writer = _make_partition_writer(out_dir)
+    writer = _make_partition_writer(out_dir, fail_at_partition)
     requester_ready = _autoscaling_requester_ready()
     result = ds.groupby("partition_id").map_groups(writer, batch_format="pyarrow")
-    committed = 0
+    metrics = [pq.read_table(_metrics_path(out_dir, k)) for k in sorted(done)]
     for batch in result.iter_batches(batch_size=None, batch_format="pyarrow"):
-        committed += len(batch)
-        if fail_after_partitions is not None and committed >= fail_after_partitions:
-            raise RuntimeError(f"injected failure after {committed} partitions")
+        if len(batch):
+            metrics.append(batch)
     # Ray is up by now even when the execution itself started it.
     requester_ready = requester_ready or _autoscaling_requester_ready()
     if requester_ready is not None:
         import ray
 
         ray.get(requester_ready)
-    return read_metrics(out_dir)
+    return _metrics_frame(metrics)
 
 
 def _autoscaling_requester_ready():
@@ -203,14 +210,18 @@ def read_metrics(out_dir: str):
     """All committed partitions' metrics as a pandas DataFrame."""
     import glob
 
+    paths = sorted(glob.glob(os.path.join(out_dir, "_metrics", "part=*.parquet")))
+    return _metrics_frame([pq.read_table(p) for p in paths])
+
+
+def _metrics_frame(tables: list[pa.Table]):
+    """Metrics rows as one pandas DataFrame sorted by partition_id."""
     import pandas as pd
 
-    paths = sorted(glob.glob(os.path.join(out_dir, "_metrics", "part=*.parquet")))
-    if not paths:
+    if not tables:
         return pd.DataFrame(columns=["partition_id", *METRIC_FIELDS])
-    frames = [pq.read_table(p).to_pandas() for p in paths]
     return (
-        pd.concat(frames, ignore_index=True)
+        pd.concat([t.to_pandas() for t in tables], ignore_index=True)
         .sort_values("partition_id")
         .reset_index(drop=True)
     )

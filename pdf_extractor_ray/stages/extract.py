@@ -64,6 +64,11 @@ def chunk_pages(
     )
 
 
+def error_text(exc: Exception) -> str:
+    """A contained per-document failure as its ``extract_error`` value."""
+    return f"{type(exc).__name__}: {exc}"[:200]
+
+
 class DocumentExtractor:
     """Batch callable: ``(html, route, needs_split, ...)`` rows →
     ``extracted_text`` + extraction metrics columns, payload column dropped
@@ -162,7 +167,7 @@ class DocumentExtractor:
                 errors.append(None)
             except Exception as exc:  # noqa: BLE001 — containment boundary
                 text, pages, blocks, tables, chunks = "", 0, 0, 0, 0
-                errors.append(f"{type(exc).__name__}: {exc}"[:200])
+                errors.append(error_text(exc))
             texts.append(text)
             n_pages.append(pages)
             n_blocks.append(blocks)

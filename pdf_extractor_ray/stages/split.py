@@ -9,7 +9,7 @@ as a batch transform so it stays vectorized and schema-stable).
 
 ``extract_chunks``   — per-chunk extraction producing ``page_markdowns``
 (list<string>) instead of combined text (the single-pass stage's
-``chunk_pages``).
+``chunk_pages``), and the chunk's ``extract_error``.
 
 ``reassemble_chunks`` — ``groupby("url").map_groups``: in-group sort by
 ``chunk_idx``, concatenate page lists, apply the canonical page combine
@@ -30,7 +30,7 @@ import pyarrow as pa
 from ..config import EngineConfig
 from ..functions.assemble import combine_pages
 from ..functions.split import split_payload
-from .extract import chunk_pages, row_passwords
+from .extract import chunk_pages, error_text, row_passwords
 
 
 def split_oversized(batch: pa.Table, config: EngineConfig | None = None) -> pa.Table:
@@ -73,27 +73,33 @@ def split_oversized(batch: pa.Table, config: EngineConfig | None = None) -> pa.T
 
 
 def extract_chunks(batch: pa.Table, config: EngineConfig | None = None) -> pa.Table:
-    """Per-chunk extraction → ``page_markdowns`` list column (payload and
-    any password sidecar dropped before the reassembly shuffle)."""
+    """Per-chunk extraction → ``page_markdowns`` list column and the
+    chunk's ``extract_error`` (payload and any password sidecar dropped
+    before the reassembly shuffle)."""
     config = config or EngineConfig()
     payloads = batch["html"]
     routes = batch["route"].to_pylist()
     row_pws = row_passwords(batch, config)
     pages_col: list[list[str]] = []
+    errors: list[str | None] = []
     for i in range(len(batch)):
         payload = payloads[i].as_py()
         pages: list[str] = []
+        error = None
         if payload is not None:
             try:
                 pages, _ = chunk_pages(payload, routes[i], config, row_pws[i])
-            except Exception:  # per-document containment (see stages/extract.py)
-                pages = []
+            except Exception as exc:  # per-document containment (see stages/extract.py)
+                error = error_text(exc)
         pages_col.append(pages)
+        errors.append(error)
     drop = ["html", "needs_split"]
     if config.pdf_password_col in batch.column_names:
         drop.append(config.pdf_password_col)  # credentials never flow downstream
-    return batch.drop_columns(drop).append_column(
-        "page_markdowns", pa.array(pages_col, pa.list_(pa.string()))
+    return (
+        batch.drop_columns(drop)
+        .append_column("page_markdowns", pa.array(pages_col, pa.list_(pa.string())))
+        .append_column("extract_error", pa.array(errors, pa.string()))
     )
 
 
@@ -101,14 +107,17 @@ def reassemble_group(group: pd.DataFrame) -> pd.DataFrame:
     """Per-url ordered reduce: sort chunks, concatenate page lists, combine
     (the in-group sort is the only ordering the engine ever needs —
     SURVEY.md §2.9). All non-chunk columns pass through from the first
-    chunk row, so extra caller columns (ids, routing metadata) survive."""
+    chunk row, so extra caller columns (ids, routing metadata) survive;
+    ``extract_error`` is the first chunk error."""
     group = group.sort_values("chunk_idx")
     all_pages: list[str] = []
     for pages in group["page_markdowns"]:
         all_pages.extend(list(pages))
+    errors = group["extract_error"].dropna()
     out = group.iloc[[0]].drop(columns=["chunk_idx", "page_markdowns"]).copy()
     out["extracted_text"] = [combine_pages(all_pages)]
     out["n_pages"] = [len(all_pages)]
+    out["extract_error"] = [errors.iloc[0] if len(errors) else None]
     return out
 
 

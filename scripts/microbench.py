@@ -82,8 +82,7 @@ def main() -> None:
     texts = [pages["text"][i].as_py() for i in range(len(pages))]
     short_texts = [t[:2000] for t in texts]
 
-    bench("tokenize_html_fast", lambda h: tokenize_blocks(h, "fast"), htmls)
-    bench("tokenize_html_stdlib", lambda h: tokenize_blocks(h, "stdlib"), htmls)
+    bench("tokenize_html_fast", tokenize_blocks, htmls)
     bench("extract_html_full", lambda h: extract_html(h), htmls)
     bench("extract_pdf_layout", lambda p: extract_pdf(p), pdfs)
     seen = validator_pages(pages)

@@ -1,10 +1,33 @@
-"""Differential test: the fast regex tokenizer must produce an identical
-block stream to the stdlib html.parser frontend over the full fixture
-corpus and a set of adversarial HTML fragments."""
+"""Differential test: the package's HTML scanner must produce the block
+stream of the reference tokenizers in ``html_oracle`` over the fixture
+corpus, the perfbench corpora and a set of adversarial HTML fragments:
+equal to the regex frontend block for block, spans included, and equal
+to the stdlib html.parser frontend on blocks."""
 
+import html_oracle
 import pytest
 
 from pdf_extractor_ray.functions.html_extract import tokenize_blocks
+
+
+def _spans(blocks):
+    return [(b.span_start, b.span_end) for b in blocks]
+
+
+def assert_matches_fast_oracle(html):
+    """Blocks and spans equal the regex frontend's (``span_start`` and
+    ``span_end`` are ``compare=False``, so they are compared explicitly)."""
+    got = tokenize_blocks(html)
+    want = html_oracle.tokenize_blocks(html, "fast")
+    assert got == want
+    assert _spans(got) == _spans(want)
+    return got
+
+
+def assert_matches_oracles(html):
+    """As above, and the blocks equal the stdlib frontend's."""
+    got = assert_matches_fast_oracle(html)
+    assert got == html_oracle.tokenize_blocks(html, "stdlib")
 
 EDGE_CASES = [
     "<p>a &amp; b &#65; &lt;tag&gt;</p>",
@@ -28,23 +51,55 @@ EDGE_CASES = [
     "<div class='nav'/>closed by slash</div><p>kept content</p>",
     "<div class=nav />space before slash</div><p>kept too</p>",
     "<p foo=/>value is just a slash</p>",
+    # Unicode whitespace the collapse must treat like ASCII whitespace.
+    "<p>a\x1cb\x85c\xa0d\u2028e\u3000f</p><p>\xa0\u3000</p>",
+    "<p><a href='/x'>\u2028linked\x85 text</a> rest</p>",
+    # A charref that unescapes to nothing.
+    "<p>&#1;</p><p>x&#1;y text</p><td>&#1;</td>",
+    "<p>a<a/>b<A>upper link</A> text</p>",
+    "</table><p>after a stray table end</p>",
+    "<table><tr><td>a</td><td><table><tr><td>in</td></tr></table>b</td></tr>"
+    "<tr><td>c</td><td>d</td></tr></table>",
+    "<pre>  keep\n   this  </pre><pre>\n\n</pre>",
+    "<table/><p>self-closed table</p><td/><tr/>",
+    "<h2>one<h3/>two</h2><br / >tail",
+    "<table><tr><td>left cell</td><td>right cell</td></tr></table>",
+    # An end tag pops through a nested boilerplate element to its match.
+    "<ul><li><nav>menu text</li><p>paragraph after the list</p></ul>",
+    "<p>a</br>b and<br>c</p>",
+    "</noscript><p>after a stray ignored-element end</p>",
+    "<script/><p>after a self-closed script</p></script><p>tail text</p>",
+    '<div role="banner">site banner words</div><p>body text here</p>',
+    '<div class="main&#32;nav">menu words here</div><p>body text here</p>',
 ]
 
 
 class TestFastTokenizer:
     @pytest.mark.parametrize("html", EDGE_CASES)
     def test_edge_cases_match_stdlib(self, html):
-        assert tokenize_blocks(html, "fast") == tokenize_blocks(html, "stdlib")
+        assert_matches_oracles(html)
 
-    def test_full_corpus_matches_stdlib(self, small_pages):
+    @pytest.mark.parametrize("corpus", ["small", "crawl_mix", "short_html"])
+    def test_full_corpus_matches_stdlib(self, small_pages, corpus):
+        """Every HTML page of the test fixture corpus and of the perfbench
+        corpora (seed 7; crawl_mix includes the 1 MB oversized row)."""
+        if corpus == "small":
+            pages = small_pages
+        else:
+            from pdf_extractor_ray.fixtures import pages_batch
+            from perfbench.workloads import WORKLOADS
+
+            workload = WORKLOADS[corpus]
+            pages = pages_batch(workload.doc_ids(workload.docs), seed=7)
         mismatches = []
-        for i in range(len(small_pages)):
-            payload = small_pages["html"][i].as_py()
-            if payload[:4] == b"%PDF":
+        for url, payload in zip(pages["url"].to_pylist(), pages["html"].to_pylist()):
+            if not payload or payload[:4] == b"%PDF":
                 continue
-            html = payload.decode()
-            if tokenize_blocks(html, "fast") != tokenize_blocks(html, "stdlib"):
-                mismatches.append(small_pages["url"][i].as_py())
+            html = payload.decode("utf-8", errors="replace")
+            try:
+                assert_matches_oracles(html)
+            except AssertionError:
+                mismatches.append(url)
         assert not mismatches, mismatches[:5]
 
 
@@ -55,13 +110,25 @@ from hypothesis import given, settings, strategies as st
 # recovery behavior on pathological soup is intricate and bug-for-bug
 # parity there is a non-goal; the engine's own semantics stay
 # deterministic either way).
-HTML_SOUP = st.text(alphabet="<>/ab c=\"'&;!-p#123\näצ=", max_size=200)
+HTML_SOUP = st.lists(
+    st.sampled_from(
+        [*"<>/ab c=\"'&;!-p#123\näצ=\x1c\x85\xa0\u2028\u3000",
+         "&#1;", "<a/>", "<A>", "</table>", "<table>", "<tr>", "<td>", "<pre>"]
+    ),
+    max_size=120,
+).map("".join)
 
-_WORDS = st.text(alphabet="abc אcd 123", min_size=0, max_size=30)
+_WORDS = st.text(alphabet="abc אcd 123\x1c\x85\xa0\u2028\u3000", min_size=0, max_size=30)
+# Fragments between elements: a charref that unescapes to "", a
+# self-closed and an upper-case link, a stray table end.
+_FRAGMENT = st.sampled_from(["", "", "&#1;", "<a/>", "<A>", "</A>", "</table>", "&amp;"])
 _ATTR = st.sampled_from(
-    ['', ' class="page"', ' class="nav"', " id='sidebar'", ' data-x="a&amp;b"', " role=main"]
+    ['', ' class="page"', ' class="nav"', " id='sidebar'", ' data-x="a&amp;b"', " role=main",
+     ' role="banner"', ' class="x&#32;menu"']
 )
-_TAG = st.sampled_from(["p", "div", "span", "li", "h2", "em", "section"])
+_TAG = st.sampled_from(
+    ["p", "div", "span", "li", "h2", "em", "section", "pre", "a", "table", "tr", "td"]
+)
 
 
 @st.composite
@@ -73,7 +140,7 @@ def well_formed_html(draw, depth=0):
         attr = draw(_ATTR)
         inner = draw(well_formed_html(depth=depth + 1))  # type: ignore[call-arg]
         parts.append(f"<{tag}{attr}>{inner}</{tag}>")
-        parts.append(draw(_WORDS))
+        parts.append(draw(_FRAGMENT) + draw(_WORDS))
     return "".join(parts)
 
 
@@ -87,11 +154,12 @@ class TestFuzz:
         assert isinstance(fast, str)
         # and deterministic
         assert extract_html(html)[0] == fast
+        assert_matches_fast_oracle(html)
 
     @settings(max_examples=150, deadline=None)
     @given(well_formed_html())
     def test_engines_agree_on_well_formed(self, html):
-        assert tokenize_blocks(html, "fast") == tokenize_blocks(html, "stdlib")
+        assert_matches_oracles(html)
 
 
 class TestMarkdownStructure:

@@ -76,6 +76,28 @@ class TestExplicitSplitVariant:
         mismatches = [u for u in golden_small if result[u] != golden_small[u]]
         assert not mismatches, f"{len(mismatches)} mismatching urls, e.g. {mismatches[:3]}"
 
+    def test_extract_error_matches_flagship(self, ray_session, small_pages):
+        """A broken PDF row carries the same ``extract_error`` through both
+        pipelines; every other row carries none."""
+        import ray.data as rd
+
+        bad_url = "https://broken.example/report.pdf"
+        pages = small_pages.select(["url", "html", "text"]).slice(0, 40)
+        bad = pa.table(
+            {"url": [bad_url], "html": [b"%PDF-1.4\n1 0 obj broken"], "text": [""]}
+        )
+        pages = pa.concat_tables([pages, bad.cast(pages.schema)])
+        errors = {}
+        for pipeline in (extraction_pipeline, extraction_pipeline_explicit_split):
+            table = _collect_table(pipeline(rd.from_arrow(pages).repartition(4)))
+            errors[pipeline.__name__] = {
+                u: e
+                for u, e in zip(table["url"].to_pylist(), table["extract_error"].to_pylist())
+                if e is not None
+            }
+        assert errors["extraction_pipeline"] == {bad_url: "PdfError: no document catalog"}
+        assert errors["extraction_pipeline_explicit_split"] == errors["extraction_pipeline"]
+
 
 class TestTableMergeFlavor:
     def test_bank_statement_query_routes_to_table_merge(self, ray_session, small_pages):

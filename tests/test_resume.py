@@ -36,7 +36,8 @@ class TestResume:
     def test_resume_recomputes_only_missing(self, ray_session, pages_path, tmp_path):
         out_a = str(tmp_path / "full")
         out_b = str(tmp_path / "resumed")
-        _run(pages_path, out_a)
+        # The returned metrics are exactly what read_metrics reads back.
+        assert _run(pages_path, out_a).equals(read_metrics(out_a))
 
         # Simulate a mid-run kill: complete run, then destroy a subset of
         # committed partitions (marker + data) — the on-disk state of a run
@@ -53,7 +54,8 @@ class TestResume:
             if k not in killed
         }
 
-        _run(pages_path, out_b)
+        resumed = _run(pages_path, out_b)
+        assert resumed.equals(read_metrics(out_b))
 
         # (a) only missing partitions recomputed: survivors untouched
         for k, mtime in survivors.items():
@@ -72,18 +74,41 @@ class TestResume:
         assert ma.equals(mb)
 
     def test_injected_failure_then_resume(self, ray_session, pages_path, tmp_path):
-        out = str(tmp_path / "failed")
+        """A writer failure leaves some partitions committed; the resumed
+        run writes only the others and ends where an uninterrupted run
+        does."""
         import ray.data as rd
 
-        with pytest.raises(RuntimeError, match="injected failure"):
+        out_full = str(tmp_path / "full")
+        full = _run(pages_path, out_full)
+        total = len(completed_partitions(out_full))
+        # The last group of its block: the groups before it always commit.
+        fail_at = max(completed_partitions(out_full))
+        out = str(tmp_path / "failed")
+        with pytest.raises(RuntimeError, match=f"injected failure at partition {fail_at}"):
             run_with_checkpoints(
                 extraction_pipeline(rd.read_parquet(pages_path)),
                 out,
-                fail_after_partitions=3,
+                fail_at_partition=fail_at,
             )
         partial = completed_partitions(out)
-        assert partial, "some partitions should have committed before the failure"
+        assert 0 < len(partial) < total
+        survivors = {
+            k: os.path.getmtime(os.path.join(out, f"part={k}", "data.parquet"))
+            for k in partial
+        }
+
         metrics = _run(pages_path, out)
+
+        for k, mtime in survivors.items():
+            assert (
+                os.path.getmtime(os.path.join(out, f"part={k}", "data.parquet"))
+                == mtime
+            ), f"partition {k} was rewritten on resume"
+        assert completed_partitions(out) == completed_partitions(out_full)
+        assert read_output(out).equals(read_output(out_full))
+        assert metrics.equals(full)
+        assert metrics.equals(read_metrics(out))
         assert metrics["docs"].sum() == 200
 
 

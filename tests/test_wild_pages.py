@@ -6,6 +6,7 @@ Also pins the round-5 parser hardenings those shapes forced:
 marked-section drop, bogus-end-tag drop, nested-table flattening, and
 the single-cell layout-table unwrap."""
 
+import html_oracle
 import pytest
 
 from pdf_extractor_ray.functions.charset import decode_html_bytes
@@ -54,6 +55,7 @@ class TestParserHardenings:
     the round-5 fix)."""
 
     def _extract(self, body, engine="fast"):
+        """``engine="stdlib"`` runs the html.parser reference tokenizer."""
         html = (
             "<html><head><title>d</title></head><body>"
             '<nav><a href="/h">Home</a> <a href="/a">About</a></nav>'
@@ -63,7 +65,11 @@ class TestParserHardenings:
         )
         from pdf_extractor_ray.functions.html_extract import render_article
 
-        return render_article(score_blocks(tokenize_blocks(html, engine)))
+        if engine == "stdlib":
+            blocks = html_oracle.tokenize_blocks(html, "stdlib")
+        else:
+            blocks = tokenize_blocks(html)
+        return render_article(score_blocks(blocks))
 
     def test_marked_sections_drop(self):
         got = self._extract(
@@ -76,14 +82,16 @@ class TestParserHardenings:
     def test_bogus_end_tags_drop(self):
         assert self._extract(f"<p>{TEXT}</ p></>") == TEXT
 
-    def test_eof_truncated_tag_drops(self):
-        # crawl cut mid-attribute: the unterminated tail must not leak
+    @pytest.mark.parametrize(
+        "tail", ['<div class="trailing-junk-name', "<?php echo $x", "<!DOCTYPE html"]
+    )
+    def test_eof_truncated_tag_drops(self, tail):
+        # crawl cut mid-attribute, mid-processing-instruction or
+        # mid-declaration: the unterminated tail must not leak
         from pdf_extractor_ray.functions.html_extract import render_article
 
-        html = (
-            "<html><body><p>" + TEXT + '</p><div class="trailing-junk-name'
-        )
-        got = render_article(score_blocks(tokenize_blocks(html, "fast")))
+        html = "<html><body><p>" + TEXT + "</p>" + tail
+        got = render_article(score_blocks(tokenize_blocks(html)))
         assert got == TEXT
 
     def test_nested_table_flattens_into_cell(self):
@@ -161,12 +169,7 @@ class TestExtractionSpans:
         assert html[s:e].strip() == txt == TEXT
 
     def test_stdlib_engine_reports_unknown(self):
-        from pdf_extractor_ray.functions.html_extract import (
-            score_blocks,
-            tokenize_blocks,
-        )
-
         blocks = score_blocks(
-            tokenize_blocks(f"<p>{TEXT}</p>", "stdlib")
+            html_oracle.tokenize_blocks(f"<p>{TEXT}</p>", "stdlib")
         )
         assert blocks[0].span_start == -1 and blocks[0].span_end == -1
