@@ -38,7 +38,7 @@ ALL_PROBLEMS: tuple[str, ...] = DEFAULT_PROBLEMS_ENABLED + (
 class EngineConfig:
     # --- splitting / skew (reference: src/core/config.py:36, pdf_processor.py:29-68)
     max_pages_per_chunk: int = 15          # MAX_PAGES_PER_CHUNK
-    split_threshold_bytes: int = 256_000   # payloads above this go through flat_map chunking
+    split_threshold_bytes: int = 256_000   # payloads above this are chunked in the extract UDF
 
     # --- validation (reference: src/core/config.py:89-113)
     validation_sample_rate: int = 5        # validate every Nth page (VALIDATION_SAMPLE_RATE)
@@ -66,4 +66,3 @@ class EngineConfig:
 
     # --- Ray stage sizing (single-node defaults; scale with cluster)
     html_batch_size: int = 512             # ~8 MB/batch at the 16 KB/page corpus mix
-    pdf_batch_size: int = 64               # binary payload rows: small batches

@@ -422,6 +422,12 @@ def tokenize_blocks(html: str) -> list[Block]:
             # content is ignored anyway).
             if lower is None:
                 lower = html.lower()
+                if len(lower) != len(html):
+                    # 'İ' (U+0130) is the one code point whose lower case is
+                    # two code points. Keep it as is, so that an index into
+                    # ``lower`` is an index into ``html``; like html.parser,
+                    # a close tag spelled with it then ends no raw text.
+                    lower = "\u0130".join(part.lower() for part in html.split("\u0130"))
             close = lower.find(f"</{tag}", pos)
             pos = n if close < 0 else close
     if parts:

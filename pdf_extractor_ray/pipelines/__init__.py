@@ -1,4 +1,4 @@
 """Pipeline assembly and resumable, checkpointed output."""
 
-from .extract import extraction_pipeline, extraction_pipeline_explicit_split
+from .extract import extraction_pipeline
 from .checkpoint import run_with_checkpoints, completed_partitions

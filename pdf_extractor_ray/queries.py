@@ -1197,18 +1197,10 @@ def q_extract_protected_pdf(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def q_extract_explicit_split(sf_dir: str) -> pd.DataFrame:
-    """The explicit dataflow skew path (flat-map chunk explode →
-    groupby(url) reassembly) under the same byte-identity oracle — proves
-    the two execution strategies are interchangeable at the driver gate.
-    Keeps the toy-PDF payload kind so the GRAFT1 record path stays covered
-    by an oracle too."""
-    from .pipelines.extract import extraction_pipeline_explicit_split
-
-    pages = wrap_documents_as_pages(sf_dir, pdf_every=3, pdf_kind="toy")
-    out = extraction_pipeline_explicit_split(pages)
-    df = out.select_columns(["doc_id", "extracted_text"]).to_pandas()
-    return df.sort_values("doc_id").reset_index(drop=True)
+def q_extract_toy_pdf(sf_dir: str) -> pd.DataFrame:
+    """Every 3rd document as a toy GRAFT1-record PDF payload, under the same
+    byte-identity oracle: the only oracle over the record payload kind."""
+    return _roundtrip(sf_dir, pdf_every=3, pdf_kind="toy")
 
 
 def q_sections_pdf(sf_dir: str) -> pd.DataFrame:
@@ -3964,7 +3956,7 @@ ORACLE_SQL: dict[str, str] = {
     "extract_pdf_with_repair": """
         SELECT doc_id, text AS extracted_text FROM documents ORDER BY doc_id
     """,
-    "extract_explicit_split": """
+    "extract_toy_pdf": """
         SELECT doc_id, text AS extracted_text FROM documents ORDER BY doc_id
     """,
     "sections": """
@@ -7640,7 +7632,7 @@ QUERIES = {
     "extract_encrypted_pdf": q_extract_encrypted_pdf,
     "extract_protected_pdf": q_extract_protected_pdf,
     "sections_pdf": q_sections_pdf,
-    "extract_explicit_split": q_extract_explicit_split,
+    "extract_toy_pdf": q_extract_toy_pdf,
     "extract_with_repair": q_extract_with_repair,
     "extract_pdf_with_repair": q_extract_pdf_with_repair,
     "classify_transactions": q_classify_transactions,

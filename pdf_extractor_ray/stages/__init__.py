@@ -15,10 +15,7 @@ UDF (all chunks of a document are created from one input row, so they are
 already co-located — the reference needed cross-task chunk fan-out only
 because one request was one document; a corpus pipeline has millions of
 documents in flight, so intra-document parallelism buys nothing at scale
-and the groupby-shuffle it would require is pure cost). The explicit
-``split_oversized`` / ``reassemble_chunks`` operator pair in
-``..stages.split`` provides the same semantics as separate dataflow
-operators for documents too large for a single task.
+and the groupby-shuffle it would require is pure cost).
 """
 
 from .normalize import normalize_route

@@ -13,9 +13,10 @@ Skew handling: rows flagged ``needs_split`` are cut into page-range chunks
 (reference: src/services/pdf_processor.py:29-68 semantics) and the chunks'
 per-page markdowns are reassembled *inside the UDF* — all chunks of a
 document originate from one input row, so they are already co-located and
-no shuffle is needed. See ``..stages.split`` for the explicit dataflow
-variant used when single documents exceed task memory; both share
-:func:`row_passwords` and :func:`chunk_pages`.
+no shuffle is needed. This is the engine's only skew path: a separate
+split → extract → ``groupby(url)`` reassembly would run in the same fused
+task that holds the payload, so it saves no memory, and its exchange would
+move every row.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ def chunk_pages(
         config.min_block_text_len,
         config.max_link_density,
     )
-
-
-def error_text(exc: Exception) -> str:
-    """A contained per-document failure as its ``extract_error`` value."""
-    return f"{type(exc).__name__}: {exc}"[:200]
 
 
 class DocumentExtractor:
@@ -167,7 +163,7 @@ class DocumentExtractor:
                 errors.append(None)
             except Exception as exc:  # noqa: BLE001 — containment boundary
                 text, pages, blocks, tables, chunks = "", 0, 0, 0, 0
-                errors.append(error_text(exc))
+                errors.append(f"{type(exc).__name__}: {exc}"[:200])
             texts.append(text)
             n_pages.append(pages)
             n_blocks.append(blocks)

@@ -399,6 +399,12 @@ def _fast_feed(html: str, builder: "_Tokenizer") -> None:
             # Raw-content element: skip to its close tag in one find.
             if lower is None:
                 lower = html.lower()
+                if len(lower) != len(html):
+                    # 'İ' (U+0130) is the one code point whose lower case is
+                    # two code points. Keep it as is, so that an index into
+                    # ``lower`` is an index into ``html``; like html.parser,
+                    # a close tag spelled with it then ends no raw text.
+                    lower = "\u0130".join(part.lower() for part in html.split("\u0130"))
             close = lower.find(f"</{tag}", pos)
             pos = n if close < 0 else close
             # (content dropped — the builder ignores it anyway)

@@ -71,6 +71,11 @@ EDGE_CASES = [
     "<script/><p>after a self-closed script</p></script><p>tail text</p>",
     '<div role="banner">site banner words</div><p>body text here</p>',
     '<div class="main&#32;nav">menu words here</div><p>body text here</p>',
+    # 'İ' lowers to two code points: the raw-text skip must not shift.
+    "<p>İİİİ title</p><script>var a=1;</script><p>after the script text</p>",
+    "<p>title text</p><script>var a=1;</scrİpt><p>after the script text</p>"
+    "</script><p>tail text here</p>",
+    "<p>title text</p><script>a=1;</scrİpt><script>b</script><p>tail text here</p>",
 ]
 
 
@@ -112,16 +117,20 @@ from hypothesis import given, settings, strategies as st
 # deterministic either way).
 HTML_SOUP = st.lists(
     st.sampled_from(
-        [*"<>/ab c=\"'&;!-p#123\näצ=\x1c\x85\xa0\u2028\u3000",
-         "&#1;", "<a/>", "<A>", "</table>", "<table>", "<tr>", "<td>", "<pre>"]
+        [*"<>/ab c=\"'&;!-p#123\näצİ=\x1c\x85\xa0\u2028\u3000",
+         "&#1;", "<a/>", "<A>", "</table>", "<table>", "<tr>", "<td>", "<pre>",
+         "<script>", "</script>"]
     ),
     max_size=120,
 ).map("".join)
 
-_WORDS = st.text(alphabet="abc אcd 123\x1c\x85\xa0\u2028\u3000", min_size=0, max_size=30)
+_WORDS = st.text(alphabet="abc אcdİ 123\x1c\x85\xa0\u2028\u3000", min_size=0, max_size=30)
 # Fragments between elements: a charref that unescapes to "", a
-# self-closed and an upper-case link, a stray table end.
-_FRAGMENT = st.sampled_from(["", "", "&#1;", "<a/>", "<A>", "</A>", "</table>", "&amp;"])
+# self-closed and an upper-case link, a stray table end, a script whose
+# raw-text skip lands after any 'İ' in the words before it.
+_FRAGMENT = st.sampled_from(
+    ["", "", "&#1;", "<a/>", "<A>", "</A>", "</table>", "&amp;", "<script>x<p>y</script>"]
+)
 _ATTR = st.sampled_from(
     ['', ' class="page"', ' class="nav"', " id='sidebar'", ' data-x="a&amp;b"', " role=main",
      ' role="banner"', ' class="x&#32;menu"']

@@ -1,15 +1,13 @@
 """End-to-end pipeline tests: byte-identical extracted text per url versus
-the single-process golden oracle (FIXTURES.md §2), at parallelism > 1, for
-both the single-pass and the explicit-split pipeline variants."""
+the single-process golden oracle (FIXTURES.md §2), at parallelism > 1.
+Oversized rows are chunked and merged inside the extract UDF, so the golden
+comparison also pins chunked extraction to whole-document extraction."""
 
 import pyarrow as pa
 import pytest
 
 from pdf_extractor_ray.config import EngineConfig
-from pdf_extractor_ray.pipelines.extract import (
-    extraction_pipeline,
-    extraction_pipeline_explicit_split,
-)
+from pdf_extractor_ray.pipelines.extract import extraction_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -68,35 +66,38 @@ class TestFlagshipPipeline:
         sources = table["source"].to_pylist()
         assert "provided" in sources, "degenerate rows should be repaired"
 
-
-class TestExplicitSplitVariant:
-    def test_byte_identical_to_flagship(self, pages_ds, golden_small):
-        result = _collect(extraction_pipeline_explicit_split(pages_ds))
-        assert set(result) == set(golden_small)
-        mismatches = [u for u in golden_small if result[u] != golden_small[u]]
-        assert not mismatches, f"{len(mismatches)} mismatching urls, e.g. {mismatches[:3]}"
-
-    def test_extract_error_matches_flagship(self, ray_session, small_pages):
-        """A broken PDF row carries the same ``extract_error`` through both
-        pipelines; every other row carries none."""
+    def test_extract_error_contained(self, ray_session, small_pages):
+        """Broken PDF rows carry a typed ``extract_error`` and no chunks,
+        also when the row is big enough to take the ``needs_split`` branch;
+        every other row carries none."""
         import ray.data as rd
 
-        bad_url = "https://broken.example/report.pdf"
+        broken = b"%PDF-1.4\n1 0 obj broken"
+        small_url = "https://broken.example/report.pdf"
+        big_url = "https://broken.example/oversized.pdf"
+        threshold = EngineConfig().split_threshold_bytes
+        big = broken + b"\n%" + b"x" * threshold
         pages = small_pages.select(["url", "html", "text"]).slice(0, 40)
         bad = pa.table(
-            {"url": [bad_url], "html": [b"%PDF-1.4\n1 0 obj broken"], "text": [""]}
+            {"url": [small_url, big_url], "html": [broken, big], "text": ["", ""]}
         )
         pages = pa.concat_tables([pages, bad.cast(pages.schema)])
-        errors = {}
-        for pipeline in (extraction_pipeline, extraction_pipeline_explicit_split):
-            table = _collect_table(pipeline(rd.from_arrow(pages).repartition(4)))
-            errors[pipeline.__name__] = {
-                u: e
-                for u, e in zip(table["url"].to_pylist(), table["extract_error"].to_pylist())
-                if e is not None
-            }
-        assert errors["extraction_pipeline"] == {bad_url: "PdfError: no document catalog"}
-        assert errors["extraction_pipeline_explicit_split"] == errors["extraction_pipeline"]
+        table = _collect_table(extraction_pipeline(rd.from_arrow(pages).repartition(4)))
+        sizes = dict(zip(table["url"].to_pylist(), table["payload_bytes"].to_pylist()))
+        assert sizes[big_url] > threshold >= sizes[small_url]
+        rows = {
+            u: (e, c)
+            for u, e, c in zip(
+                table["url"].to_pylist(),
+                table["extract_error"].to_pylist(),
+                table["n_chunks"].to_pylist(),
+            )
+            if e is not None
+        }
+        assert rows == {
+            small_url: ("PdfError: no document catalog", 0),
+            big_url: ("PdfError: no document catalog", 0),
+        }
 
 
 class TestTableMergeFlavor:
@@ -238,10 +239,7 @@ class TestPasswordPlumbing:
         }
         return plain, enc
 
-    def _run(
-        self, payload_by_url: dict, config: EngineConfig, extra_cols=None,
-        pipeline=extraction_pipeline,
-    ):
+    def _run(self, payload_by_url: dict, config: EngineConfig, extra_cols=None):
         import ray.data as rd
 
         cols = {
@@ -251,7 +249,7 @@ class TestPasswordPlumbing:
         }
         cols.update(extra_cols or {})
         ds = rd.from_arrow(pa.table(cols)).repartition(4)
-        return pipeline(ds, config=config)
+        return extraction_pipeline(ds, config=config)
 
     def test_corpus_wide_password(self, ray_session, enc_corpus):
         plain, enc = enc_corpus
@@ -275,12 +273,7 @@ class TestPasswordPlumbing:
             e and "password" in e for e in table["extract_error"].to_pylist()
         )
 
-    @pytest.mark.parametrize(
-        "pipeline",
-        [extraction_pipeline, extraction_pipeline_explicit_split],
-        ids=["single_pass", "explicit_split"],
-    )
-    def test_per_row_password_column(self, ray_session, enc_corpus, pipeline):
+    def test_per_row_password_column(self, ray_session, enc_corpus):
         from pdf_extractor_ray.functions.pdf_codec import build_pdf
 
         plain, _ = enc_corpus
@@ -300,30 +293,12 @@ class TestPasswordPlumbing:
                 enc,
                 EngineConfig(pdf_password_col="doc_pw", validation_enabled=False),
                 extra_cols={"doc_pw": pws},
-                pipeline=pipeline,
             )
         )
         got = dict(zip(out["url"].to_pylist(), out["extracted_text"].to_pylist()))
         assert got == golden
         # credentials must not flow downstream
         assert "doc_pw" not in out.column_names
-
-    def test_explicit_split_with_password(self, ray_session, enc_corpus):
-        """The explicit-split variant honors the same password config as
-        the single-pass pipeline (byte-identity contract)."""
-        plain, enc = enc_corpus
-        cfg_plain = EngineConfig(validation_enabled=False)
-        cfg_pw = EngineConfig(pdf_password="hunter2", validation_enabled=False)
-        golden = _collect(
-            extraction_pipeline_explicit_split(
-                self._ds(plain), config=cfg_plain
-            )
-        )
-        got = _collect(
-            extraction_pipeline_explicit_split(self._ds(enc), config=cfg_pw)
-        )
-        assert got == golden
-        assert all(v for v in got.values())
 
     def test_binary_password_column(self, ray_session, enc_corpus):
         """A binary-typed sidecar password column works (bytes pass through
@@ -350,15 +325,3 @@ class TestPasswordPlumbing:
         )
         assert got == golden
 
-    def _ds(self, payload_by_url: dict):
-        import ray.data as rd
-
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "url": list(payload_by_url),
-                    "html": pa.array(list(payload_by_url.values()), pa.binary()),
-                    "text": [""] * len(payload_by_url),
-                }
-            )
-        ).repartition(4)
