@@ -2,7 +2,7 @@
 service + folder batch driver (reference: main.py, scripts/process_folder.py).
 
     python -m pdf_extractor_ray extract --input pages/*.parquet --output /out \
-        [--query "04_Bank_Statements"] [--mode grouped|direct] [--num-cpus N]
+        [--query "04_Bank_Statements"] [--num-cpus N]
     python -m pdf_extractor_ray sections --input ... --output ... [--query q]
     python -m pdf_extractor_ray metrics --output /out
 
@@ -77,7 +77,7 @@ def _read_input(patterns: list[str], extra_columns: list[str] | None = None):
 def cmd_extract(args) -> int:
     _init_ray(args.num_cpus)
     from .config import EngineConfig
-    from .pipelines.checkpoint import run_direct, run_with_checkpoints
+    from .pipelines.checkpoint import run_with_checkpoints
     from .pipelines.extract import extraction_pipeline
 
     from .config import ALL_PROBLEMS, DEFAULT_PROBLEMS_ENABLED
@@ -97,25 +97,20 @@ def cmd_extract(args) -> int:
     )
     ds = _read_input(args.input, extra_columns=[args.password_col])
     result = extraction_pipeline(ds, config=config, query=args.query)
-    if args.mode == "direct":
-        run_direct(result, args.output)
-        print(json.dumps({"output": args.output, "mode": "direct"}))
-    else:
-        metrics = run_with_checkpoints(result, args.output)
-        print(
-            json.dumps(
-                {
-                    "output": args.output,
-                    "mode": "grouped",
-                    "partitions": len(metrics),
-                    "docs": int(metrics["docs"].sum()),
-                    "bytes_in": int(metrics["bytes_in"].sum()),
-                    "bytes_out": int(metrics["bytes_out"].sum()),
-                    "problem_docs": int(metrics["n_problem_docs"].sum()),
-                    "replaced": int(metrics["n_replaced"].sum()),
-                }
-            )
+    metrics = run_with_checkpoints(result, args.output)
+    print(
+        json.dumps(
+            {
+                "output": args.output,
+                "partitions": len(metrics),
+                "docs": int(metrics["docs"].sum()),
+                "bytes_in": int(metrics["bytes_in"].sum()),
+                "bytes_out": int(metrics["bytes_out"].sum()),
+                "problem_docs": int(metrics["n_problem_docs"].sum()),
+                "replaced": int(metrics["n_replaced"].sum()),
+            }
         )
+    )
     return 0
 
 
@@ -420,9 +415,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    from .pipelines.checkpoint import read_metrics
+    from .pipelines.checkpoint import completed_partitions, read_metrics
     from .stages.metrics import overall_status
 
+    if not completed_partitions(args.output):
+        print(f"no committed partition under {args.output}", file=sys.stderr)
+        return 1
     metrics = read_metrics(args.output)
     print(metrics.to_string(index=False))
     print(json.dumps({"overall_status": overall_status(metrics)}))
@@ -454,7 +452,6 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--output", required=True)
     p_extract.add_argument("--query", default=None,
                            help="workflow routing query (reference semantics)")
-    p_extract.add_argument("--mode", choices=["grouped", "direct"], default="grouped")
     p_extract.add_argument("--num-cpus", type=int, default=None)
     p_extract.add_argument("--no-validation", action="store_true")
     p_extract.add_argument(

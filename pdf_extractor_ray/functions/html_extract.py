@@ -591,6 +591,8 @@ def extract_html_pages(
         "n_blocks_raw": len(blocks),
         "n_blocks_kept": len(kept),
         "n_tables": sum(1 for b in kept if b.kind == "table"),
-        "n_pages": len(pages),
+        # Pages with a kept block, as extract_html counts them (without
+        # its floor of one, which the chunk merge applies once).
+        "n_pages": len({b.page for b in kept}),
     }
     return pages, stats

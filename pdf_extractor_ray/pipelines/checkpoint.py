@@ -1,4 +1,4 @@
-"""Resumable, checkpointed partitioned output.
+"""Resumable, checkpointed partitioned output: the engine's one sink.
 
 The reference has no resume story (a failed request is retried whole,
 reference: scripts/process_folder.py:74-76); at 100 TB a resumable layout is
@@ -6,24 +6,24 @@ mandatory (BASELINE.json north_rule: "resumable from checkpoint with
 per-partition lineage + metrics"). Layout:
 
     out_dir/
-      part=<k>/ *.parquet          # all documents with partition_id == k
-      _metrics/part=<k>.parquet    # per-partition lineage metrics row
-      _manifest/part=<k>.json      # commit marker, written LAST
+      part=<k>/data.parquet        # all documents with partition_id == k
+      _manifest/part=<k>.json      # commit marker + the partition's metrics
+                                   #   row, written LAST
 
 A partition is complete iff its manifest marker exists; the marker is
-written atomically (temp file + rename) only after data and metrics are on
-disk, so a killed run can never leave a half-written partition that resume
-treats as done. ``run_with_checkpoints`` filters already-committed
-partitions out of the *input* (cheap: partition_id is derived from url at
-read time), so a rerun recomputes only missing partitions and the final
-output is byte-identical to an uninterrupted run (tested in
-tests/test_resume.py).
+written atomically (temp file + rename) only after the data is on disk, so
+a killed run can never leave a half-written partition that resume treats
+as done. The marker is also the only copy of the partition's metrics.
+``run_with_checkpoints`` filters already-committed partitions out of the
+*input* (cheap: partition_id is derived from url at read time), so a rerun
+recomputes only missing partitions and the final output is byte-identical
+to an uninterrupted run (tested in tests/test_resume.py).
 
 At cluster scale each partition group is written by whichever node holds its
 blocks; the groupby here is the explicit hash exchange on the ONE
 partitioning key the engine uses everywhere (partition_id = crc32(url) % P).
 
-The grouped sink runs with Ray Data's per-operator resource reservation off.
+The sink runs with Ray Data's per-operator resource reservation off.
 With it on, the partition writer keeps one task's CPU reserved for the whole
 map phase, although it cannot start before the Sort barrier has all of its
 input: on a 2-CPU session the fused map stage then runs one task at a time.
@@ -33,8 +33,10 @@ the object-store budget of an operator that feeds a materializing one, so no
 memory backpressure on the map stage is lost. Only the consumed dataset's
 own ``DataContext`` changes (it is shared with the datasets it was derived
 from); the process-global ``DataContext.get_current()`` is never touched.
-``run_direct`` streams its writes alongside the map stage and keeps the
-reservation.
+
+The groupby is a Sort exchange, so the object store must hold its working
+set (the extracted text of every row, payloads already dropped): size the
+store for one exchange, as for the engine's joins and dedup exchanges.
 
 Every Ray Data execution sends a request to the session's autoscaling-
 requester actor (zero-CPU, detached) when it shuts down. With reservation
@@ -59,6 +61,10 @@ import pyarrow.parquet as pq
 from ..stages.metrics import METRIC_FIELDS, partial_metrics
 
 
+def _marker_path(out_dir: str, partition_id: int) -> str:
+    return os.path.join(out_dir, "_manifest", f"part={partition_id}.json")
+
+
 def completed_partitions(out_dir: str) -> set[int]:
     """Partitions with a commit marker."""
     manifest_dir = os.path.join(out_dir, "_manifest")
@@ -71,16 +77,11 @@ def completed_partitions(out_dir: str) -> set[int]:
     return done
 
 
-def _metrics_path(out_dir: str, partition_id: int) -> str:
-    return os.path.join(out_dir, "_metrics", f"part={partition_id}.parquet")
-
-
 def _commit_partition(out_dir: str, partition_id: int, table: pa.Table) -> dict:
-    """Write one partition's data + metrics, then atomically commit."""
+    """Write one partition's data, then atomically commit its marker, which
+    holds the partition's metrics row."""
     part_dir = os.path.join(out_dir, f"part={partition_id}")
-    metrics_dir = os.path.join(out_dir, "_metrics")
-    manifest_dir = os.path.join(out_dir, "_manifest")
-    for d in (part_dir, metrics_dir, manifest_dir):
+    for d in (part_dir, os.path.join(out_dir, "_manifest")):
         os.makedirs(d, exist_ok=True)
 
     data_tmp = os.path.join(part_dir, "data.parquet.tmp")
@@ -91,18 +92,11 @@ def _commit_partition(out_dir: str, partition_id: int, table: pa.Table) -> dict:
     metrics = partial_metrics(table).to_pylist()[0]
     # Reference cost model: ~500 tokens/page at $0.01/1K tokens per
     # validated page (reference: validation_orchestrator.py:52-53, 432).
-    n_pages_validated = pc.sum(table["n_pages_validated"]).as_py()
-    metrics["n_pages_validated"] = n_pages_validated
-    metrics["est_validation_cost_usd"] = round(n_pages_validated * 500 * 0.01 / 1000, 4)
-    metrics_path = _metrics_path(out_dir, partition_id)
-    metrics_tmp = metrics_path + ".tmp"
-    pq.write_table(
-        pa.Table.from_pylist([metrics]), metrics_tmp
+    metrics["est_validation_cost_usd"] = round(
+        metrics["n_pages_validated"] * 500 * 0.01 / 1000, 4
     )
-    os.replace(metrics_tmp, metrics_path)
-
-    marker_tmp = os.path.join(manifest_dir, f"part={partition_id}.json.tmp")
-    marker_path = os.path.join(manifest_dir, f"part={partition_id}.json")
+    marker_path = _marker_path(out_dir, partition_id)
+    marker_tmp = marker_path + ".tmp"
     with open(marker_tmp, "w") as fh:
         json.dump(metrics, fh, sort_keys=True)
     os.replace(marker_tmp, marker_path)
@@ -134,7 +128,7 @@ def run_with_checkpoints(
     """Consume a result Dataset into the checkpointed layout, skipping
     already-committed partitions. Returns every committed partition's
     metrics (pandas, as :func:`read_metrics` reads them): the rows the
-    writer returns plus the stored rows of partitions committed before.
+    writer returns plus the marker rows of partitions committed before.
 
     ``fail_at_partition`` is a test hook: the writer raises instead of
     committing that partition, to exercise resume from a partial state.
@@ -157,10 +151,9 @@ def run_with_checkpoints(
     writer = _make_partition_writer(out_dir, fail_at_partition)
     requester_ready = _autoscaling_requester_ready()
     result = ds.groupby("partition_id").map_groups(writer, batch_format="pyarrow")
-    metrics = [pq.read_table(_metrics_path(out_dir, k)) for k in sorted(done)]
+    metrics = [_read_marker(out_dir, k) for k in done]
     for batch in result.iter_batches(batch_size=None, batch_format="pyarrow"):
-        if len(batch):
-            metrics.append(batch)
+        metrics.extend(batch.to_pylist())
     # Ray is up by now even when the execution itself started it.
     requester_ready = requester_ready or _autoscaling_requester_ready()
     if requester_ready is not None:
@@ -187,41 +180,26 @@ def _autoscaling_requester_ready():
     return get_or_create_autoscaling_requester_actor().__ray_ready__.remote()
 
 
-def run_direct(ds, out_dir: str):
-    """Shuffle-free alternative sink for the largest corpora.
-
-    ``write_parquet(partition_cols=["partition_id"])`` writes each task's
-    blocks straight into hive-partitioned directories — no exchange at all,
-    at the cost of coarser resume granularity: completion is all-or-nothing
-    per RUN (a `_SUCCESS` marker written after the write completes), not per
-    partition. Use :func:`run_with_checkpoints` when partition-granular
-    resume matters more than avoiding the output exchange; at 100 TB the
-    grouped mode's exchange moves extracted text only (payloads are dropped
-    before validation), which is why it remains the default.
-    """
-    ds.write_parquet(out_dir, partition_cols=["partition_id"])
-    marker_tmp = os.path.join(out_dir, "_SUCCESS.tmp")
-    with open(marker_tmp, "w") as fh:
-        fh.write("ok")
-    os.replace(marker_tmp, os.path.join(out_dir, "_SUCCESS"))
+def _read_marker(out_dir: str, partition_id: int) -> dict:
+    with open(_marker_path(out_dir, partition_id)) as fh:
+        return json.load(fh)
 
 
 def read_metrics(out_dir: str):
     """All committed partitions' metrics as a pandas DataFrame."""
-    import glob
+    return _metrics_frame(
+        [_read_marker(out_dir, k) for k in completed_partitions(out_dir)]
+    )
 
-    paths = sorted(glob.glob(os.path.join(out_dir, "_metrics", "part=*.parquet")))
-    return _metrics_frame([pq.read_table(p) for p in paths])
 
-
-def _metrics_frame(tables: list[pa.Table]):
-    """Metrics rows as one pandas DataFrame sorted by partition_id."""
+def _metrics_frame(rows: list[dict]):
+    """Metrics rows (dicts, in any key order) as one pandas DataFrame
+    sorted by partition_id, with the same columns when there are none."""
     import pandas as pd
 
-    if not tables:
-        return pd.DataFrame(columns=["partition_id", *METRIC_FIELDS])
+    columns = ["partition_id", *METRIC_FIELDS, "est_validation_cost_usd"]
     return (
-        pd.concat([t.to_pandas() for t in tables], ignore_index=True)
+        pd.DataFrame(rows, columns=columns)
         .sort_values("partition_id")
         .reset_index(drop=True)
     )

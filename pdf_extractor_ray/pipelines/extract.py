@@ -10,14 +10,15 @@ a streaming Ray Data DAG:
                                              #   chunked + merged in the UDF
       → map_batches(validate_batch)          # one-pass page profile detectors
                                              #   + similarity + repair
-      → [write_parquet partitioned by partition_id]  (checkpoint.py)
+      → [run_with_checkpoints]               # groupby(partition_id) → commit
+                                             #   (checkpoint.py)
 
 The three map stages are per-row and fuse into one task, so extract and
 validate need no exchange: the N→4N scaling efficiency ≥0.8 criterion
 (BASELINE.json north_rule) rests on that. The consumer adds the only
-all-to-all step: ``run_with_checkpoints`` groups by ``partition_id``, which
-moves every output row (extracted text, not payloads) once; ``run_direct``
-writes without an exchange.
+all-to-all step: ``run_with_checkpoints``, the engine's one sink, groups by
+``partition_id``, which moves every output row (extracted text, not
+payloads) once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def extraction_pipeline(
     query: str | None = None,
 ):
     """Attach the flagship stages to a pages Dataset; returns the lazy
-    result Dataset (consume with write_parquet / iter_batches).
+    result Dataset (commit it with ``run_with_checkpoints``, or iterate it).
 
     The extract stage runs as stateless tasks: Ray reuses worker processes,
     so module-level parser state stays warm while tasks schedule

@@ -6,8 +6,9 @@ from the object store). Stage order for the flagship pipeline
 (SURVEY.md §7.1):
 
 ``normalize_route`` → ``extract_batch`` (one ``DocumentExtractor`` per
-batch, stateless tasks) → ``validate_batch`` → per-partition metrics
-aggregate → partitioned parquet sink.
+batch, stateless tasks) → ``validate_batch`` → the checkpointed sink,
+whose writer stores each partition's ``partial_metrics`` row in the
+partition's commit marker.
 
 The hot extract+validate path is deliberately shuffle-free: chunk-splitting
 of oversized documents and chunk reassembly happen *inside* the extractor

@@ -100,14 +100,19 @@ class DocumentExtractor:
         if needs_split and self.flavor == "article":
             chunks = split_payload(payload, route, cfg.max_pages_per_chunk, password=pw)
             all_pages: list[str] = []
-            n_blocks = n_tables = 0
+            n_pages = n_blocks = n_tables = 0
             for chunk in chunks:
                 pages, stats = chunk_pages(chunk, route, cfg, pw)
                 all_pages.extend(pages)
+                n_pages += stats["n_pages"]
                 n_blocks += stats.get("n_blocks_kept", stats.get("n_blocks", 0))
                 n_tables += stats.get("n_tables", 0)
+            if route == ROUTE_HTML:
+                # As whole-document extract_html: a page with no kept
+                # block still counts as one page.
+                n_pages = n_pages or 1
             text = combine_pages(all_pages)
-            return text, len(all_pages), n_blocks, n_tables, len(chunks)
+            return text, n_pages, n_blocks, n_tables, len(chunks)
         if route == ROUTE_PDF:
             if self.flavor == "text_extraction":
                 # table-aware PDF layout analysis + per-cell BiDi — the

@@ -3,11 +3,10 @@
 The engine's analogue of the reference's validation-report aggregation
 (reference: src/services/workflows/default_handler.py:199-238 and
 src/services/validation/problem_detector.py:488-523), lifted from
-per-document dicts to a per-partition metrics table: pre-aggregated inside
-``map_batches`` (one partial row per partition per batch — the
-combiner-before-shuffle pattern), then reduced by a tiny
-``groupby(partition_id)`` so the all-to-all exchange moves kilobytes, not
-the corpus.
+per-document dicts to a per-partition metrics table. The checkpointed sink
+computes each partition's row with :func:`partial_metrics` over the rows it
+commits and stores it in that partition's commit marker; no separate
+exchange aggregates metrics.
 """
 
 from __future__ import annotations
@@ -24,13 +23,14 @@ METRIC_FIELDS = (
     "n_replaced",
     "n_failed_validation",
     "n_validated",
+    "n_pages_validated",
 )
 
 
 def partial_metrics(batch: pa.Table) -> pa.Table:
-    """Per-batch partial aggregate: one row per partition_id present, sorted
-    by partition_id; columns ``partition_id`` + ``METRIC_FIELDS``, all int64.
-    The commit sink takes a partition's metrics row from here too."""
+    """Metrics of ``batch``: one row per partition_id present, sorted by
+    partition_id; columns ``partition_id`` + ``METRIC_FIELDS``, all int64.
+    The commit sink stores the row of each partition it commits."""
     validated = pc.is_valid(batch["similarity"])
     per_row = pa.table(
         {
@@ -43,6 +43,7 @@ def partial_metrics(batch: pa.Table) -> pa.Table:
                 pa.int64()
             ),
             "n_validated": validated.cast(pa.int64()),
+            "n_pages_validated": batch["n_pages_validated"].cast(pa.int64()),
         }
     )
     summed = METRIC_FIELDS[1:]
@@ -56,15 +57,6 @@ def partial_metrics(batch: pa.Table) -> pa.Table:
             **{f: grouped[f"{f}_sum"] for f in summed},
         }
     ).sort_by("partition_id")
-
-
-def partition_metrics(ds):
-    """Dataset of final per-partition metrics (tiny groupby over partials)."""
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(partial_metrics, batch_format="pyarrow")
-    aggs = [Sum(f, alias_name=f) for f in METRIC_FIELDS]
-    return partials.groupby("partition_id").aggregate(*aggs)
 
 
 def overall_status(metrics_df: pd.DataFrame) -> str:

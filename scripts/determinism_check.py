@@ -1,7 +1,8 @@
 """Byte-identity at scale: run the flagship pipeline over the same corpus
-under two different block layouts (different task boundaries, different
-batch compositions) and compare a content hash of every (url,
-extracted_text) pair.
+under three different block layouts (different task boundaries, different
+batch compositions), commit each through the production sink
+(``run_with_checkpoints``) into a temporary directory, and compare a content
+hash of every committed (url, extracted_text) pair.
 
 Usage: python scripts/determinism_check.py [corpus_dir] [n_pages]
 Defaults to the cached bench corpus (/tmp/graft_bench/pages_100000_v6),
@@ -11,21 +12,32 @@ generating it if missing.
 from __future__ import annotations
 
 import hashlib
+import os
+import shutil
 import sys
+import tempfile
 
 
-def corpus_hash(ds) -> tuple[str, int]:
-    hashes = {}
-    for batch in ds.iter_batches(batch_format="pyarrow", batch_size=4096):
-        for url, text in zip(
-            batch["url"].to_pylist(), batch["extracted_text"].to_pylist()
-        ):
-            hashes[url] = hashlib.sha1((text or "").encode()).hexdigest()
+def committed_hash(out_dir: str) -> tuple[str, int]:
+    """Hash of the committed (url, extracted_text) pairs, read one partition
+    file at a time in partition order; rows within a file are in url
+    order, so equal outputs hash equally whatever the block layout."""
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.checkpoint import completed_partitions
+
     h = hashlib.sha256()
-    for url in sorted(hashes):
-        h.update(url.encode())
-        h.update(hashes[url].encode())
-    return h.hexdigest(), len(hashes)
+    rows = 0
+    for k in sorted(completed_partitions(out_dir)):
+        part = pq.read_table(
+            os.path.join(out_dir, f"part={k}", "data.parquet"),
+            columns=["url", "extracted_text"],
+        )
+        for url, text in zip(part["url"].to_pylist(), part["extracted_text"].to_pylist()):
+            h.update(url.encode())
+            h.update(hashlib.sha1((text or "").encode()).hexdigest().encode())
+        rows += len(part)
+    return h.hexdigest(), rows
 
 
 def main() -> int:
@@ -33,7 +45,7 @@ def main() -> int:
     import ray.data as rd
 
     sys.path.insert(0, ".")
-    from pdf_extractor_ray.pipelines.extract import extraction_pipeline
+    from pdf_extractor_ray.pipelines import extraction_pipeline, run_with_checkpoints
 
     corpus = sys.argv[1] if len(sys.argv) > 1 else "/tmp/graft_bench/pages_100000_v6"
     n_pages = int(sys.argv[2]) if len(sys.argv) > 2 else 100_000
@@ -45,8 +57,6 @@ def main() -> int:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-
-    import os
 
     if not os.path.exists(corpus):
         from pdf_extractor_ray.sources.pages import synthesize_pages_dataset
@@ -60,7 +70,12 @@ def main() -> int:
     }
     results = {}
     for name, ds in layouts.items():
-        digest, rows = corpus_hash(extraction_pipeline(ds))
+        out_dir = tempfile.mkdtemp(prefix=f"determinism-{name}-")
+        try:
+            run_with_checkpoints(extraction_pipeline(ds), out_dir)
+            digest, rows = committed_hash(out_dir)
+        finally:
+            shutil.rmtree(out_dir, ignore_errors=True)
         results[name] = (digest, rows)
         print(f"{name}: {rows} rows, sha256 {digest[:16]}…")
     digests = {d for d, _ in results.values()}

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 
 def test_cli_extract_and_metrics(tmp_path, small_pages):
@@ -29,6 +30,17 @@ def test_cli_extract_and_metrics(tmp_path, small_pages):
     )
     assert metrics.returncode == 0
     assert "overall_status" in metrics.stdout
+
+    # A directory with no commit marker has no metrics to report.
+    missing = subprocess.run(
+        [sys.executable, "-m", "pdf_extractor_ray", "metrics",
+         "--output", str(tmp_path / "never_written")],
+        capture_output=True, text=True, timeout=120,
+        cwd=str(Path(__file__).resolve().parent.parent),
+    )
+    assert missing.returncode != 0
+    assert "overall_status" not in missing.stdout
+    assert "no committed partition" in missing.stderr
 
 
 def test_cli_dedup_drop(tmp_path):
@@ -189,7 +201,7 @@ def test_written_rows_excludes_preexisting(tmp_path):
 
 def test_cli_extract_password(tmp_path):
     """--password opens an encrypted-PDF corpus; extraction matches the
-    plaintext corpus byte-for-byte (grouped mode, validation off)."""
+    plaintext corpus byte-for-byte (checkpointed sink, validation off)."""
     import pyarrow as pa
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
@@ -222,7 +234,7 @@ def test_cli_extract_password(tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "pdf_extractor_ray", "extract",
              "--input", str(src), "--output", str(tmp_path / out),
-             "--mode", "direct", "--no-validation", "--num-cpus", "2", *extra],
+             "--no-validation", "--num-cpus", "2", *extra],
             capture_output=True, text=True, timeout=240, cwd="/root/repo",
         )
         assert result.returncode == 0, result.stderr[-2000:]
@@ -291,7 +303,7 @@ def test_cli_extract_password_col(tmp_path):
     out = tmp_path / "out"
     result = subprocess.run(
         [sys.executable, "-m", "pdf_extractor_ray", "extract",
-         "--input", str(src), "--output", str(out), "--mode", "direct",
+         "--input", str(src), "--output", str(out),
          "--no-validation", "--password-col", "doc_pw", "--num-cpus", "2"],
         capture_output=True, text=True, timeout=240, cwd="/root/repo",
     )

@@ -54,11 +54,46 @@ class TestFlagshipPipeline:
         b = _collect(extraction_pipeline(pages_ds.repartition(3)))
         assert a == b
 
-    def test_oversized_rows_chunked(self, pages_ds):
+    def test_oversized_rows_chunked(self, pages_ds, small_pages):
         ds = extraction_pipeline(pages_ds)
         table = _collect_table(ds)
         n_chunks = table["n_chunks"].to_pylist()
         assert max(n_chunks) > 1, "fixture corpus should contain chunk-split docs"
+
+        # Every chunked row reports what whole-document extraction reports:
+        # text and the page, block and table counts. The extra rows are a
+        # page with no kept block, whole and padded past the threshold.
+        from pdf_extractor_ray.stages.extract import DocumentExtractor
+        from pdf_extractor_ray.stages.normalize import normalize_route
+
+        empty = b"<html><body><nav><a href='x'>home</a></nav><p>tiny</p></body></html>"
+        padding = b"<!--" + b"x" * EngineConfig().split_threshold_bytes + b"-->"
+        template = small_pages.slice(0, 1).to_pylist()[0]
+        extra = pa.Table.from_pylist(
+            [
+                {**template, "url": "u://empty", "html": empty},
+                {**template, "url": "u://empty-padded",
+                 "html": empty.replace(b"</body>", padding + b"</body>")},
+            ],
+            schema=small_pages.schema,
+        )
+        batch = normalize_route(pa.concat_tables([small_pages, extra]))
+        extractor = DocumentExtractor()
+        out = extractor(batch)
+        columns = ["extracted_text", "n_pages", "n_blocks", "n_tables"]
+        split_rows = [i for i, s in enumerate(batch["needs_split"].to_pylist()) if s]
+        assert batch["url"][split_rows[-1]].as_py() == "u://empty-padded"
+        for i in split_rows:
+            whole = extractor._extract_one(
+                batch["html"][i].as_py(), batch["route"][i].as_py(), False
+            )
+            got = tuple(out[c][i].as_py() for c in columns)
+            assert got == whole[:4], batch["url"][i].as_py()
+        counts = out.select(["n_pages", "n_blocks", "n_chunks"]).slice(len(small_pages))
+        assert counts.to_pylist() == [
+            {"n_pages": 1, "n_blocks": 0, "n_chunks": 1},
+            {"n_pages": 1, "n_blocks": 0, "n_chunks": 1},
+        ]
 
     def test_problem_rows_replaced(self, pages_ds):
         ds = extraction_pipeline(pages_ds)

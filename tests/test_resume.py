@@ -14,6 +14,7 @@ from pdf_extractor_ray.pipelines.checkpoint import (
     run_with_checkpoints,
 )
 from pdf_extractor_ray.pipelines.extract import extraction_pipeline
+from pdf_extractor_ray.stages.metrics import overall_status
 
 
 @pytest.fixture()
@@ -110,6 +111,24 @@ class TestResume:
         assert metrics.equals(full)
         assert metrics.equals(read_metrics(out))
         assert metrics["docs"].sum() == 200
+        assert (metrics["bytes_in"] > 0).all()
+        assert metrics["n_problem_docs"].sum() > 0  # degenerate fixture rows
+        # Repairs happen on this corpus, and problems_fixed outranks warnings.
+        assert overall_status(metrics) == "problems_fixed"
+        # An output directory holds the data files and the commit markers,
+        # which are the only copy of the metrics; no marker, no metrics rows.
+        done = sorted(completed_partitions(out))
+        files = sorted(
+            os.path.relpath(os.path.join(d, f), out)
+            for d, _, names in os.walk(out)
+            for f in names
+        )
+        assert files == sorted(
+            [f"part={k}/data.parquet" for k in done]
+            + [f"_manifest/part={k}.json" for k in done]
+        )
+        empty = read_metrics(str(tmp_path / "never_written"))
+        assert empty.empty and list(empty.columns) == list(metrics.columns)
 
 
 def _validated_block(start: int, n_rows: int):
@@ -174,38 +193,3 @@ class TestSinkConcurrency:
             u for b in blocks for u in b["url"].to_pylist()
         )
         assert DataContext.get_current().op_resource_reservation_enabled
-
-
-class TestDirectMode:
-    def test_shuffle_free_direct_write(self, ray_session, pages_path, tmp_path):
-        import glob
-
-        import ray.data as rd
-
-        from pdf_extractor_ray.pipelines.checkpoint import run_direct
-
-        out = str(tmp_path / "direct")
-        run_direct(extraction_pipeline(rd.read_parquet(pages_path)), out)
-        assert os.path.exists(os.path.join(out, "_SUCCESS"))
-        files = glob.glob(os.path.join(out, "partition_id=*", "*.parquet"))
-        assert files, "hive-partitioned output expected"
-        import pyarrow.parquet as pq
-
-        total = sum(pq.read_table(f).num_rows for f in files)
-        assert total == 200
-
-
-class TestMetricsRollup:
-    def test_partition_metrics_dataset_rollup(self, ray_session, pages_path):
-        import ray.data as rd
-
-        from pdf_extractor_ray.stages.metrics import overall_status, partition_metrics
-
-        out = extraction_pipeline(rd.read_parquet(pages_path))
-        metrics = partition_metrics(out).to_pandas().sort_values("partition_id")
-        assert metrics["docs"].sum() == 200
-        assert (metrics["bytes_in"] > 0).all()
-        assert metrics["n_problem_docs"].sum() > 0  # degenerate fixture rows
-        status = overall_status(metrics)
-        assert status in ("problems_fixed", "warnings", "passed")
-        assert status == "problems_fixed"  # repairs happen on this corpus
