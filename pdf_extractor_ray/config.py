@@ -1,9 +1,14 @@
 """Engine configuration.
 
-Mirrors the semantics-bearing constants of the reference's pydantic-settings
-config (reference: src/core/config.py:36-113) as a plain frozen dataclass that
-is cheap to pickle into UDF closures (no globals, no env reads inside
-workers).
+Mirrors the settable part of the reference's pydantic-settings config
+(reference: src/core/config.py:36-113) as a plain frozen dataclass that is
+cheap to pickle into UDF closures (no globals, no env reads inside workers).
+The reference's fixed thresholds, which no caller changes, are module
+constants beside their only readers: ``MAX_PAGES_PER_CHUNK``
+(functions/split.py), ``SPLIT_THRESHOLD_BYTES`` (stages/normalize.py),
+``VALIDATION_SAMPLE_RATE`` and ``SIMILARITY_THRESHOLD``
+(functions/validate.py), ``MIN_BLOCK_TEXT_LEN`` and ``MAX_LINK_DENSITY``
+(functions/html_extract.py).
 """
 
 from __future__ import annotations
@@ -36,15 +41,8 @@ ALL_PROBLEMS: tuple[str, ...] = DEFAULT_PROBLEMS_ENABLED + (
 
 @dataclass(frozen=True)
 class EngineConfig:
-    # --- splitting / skew (reference: src/core/config.py:36, pdf_processor.py:29-68)
-    max_pages_per_chunk: int = 15          # MAX_PAGES_PER_CHUNK
-    split_threshold_bytes: int = 256_000   # payloads above this are chunked in the extract UDF
-
-    # --- validation (reference: src/core/config.py:89-113)
-    validation_sample_rate: int = 5        # validate every Nth page (VALIDATION_SAMPLE_RATE)
-    validation_similarity_threshold: float = 0.95
+    # --- validation (reference: src/core/config.py:89-113); the CLI sets these
     validation_similarity_method: str = "number_frequency"  # | "levenshtein"
-    validation_skip_sample_if_clean: bool = True
     problems_enabled: tuple[str, ...] = DEFAULT_PROBLEMS_ENABLED
     validation_enabled: bool = True
 
@@ -56,10 +54,6 @@ class EngineConfig:
     # extract stage and never flows downstream.
     pdf_password: str = ""
     pdf_password_col: str | None = None
-
-    # --- HTML block scoring (our engine; Boilerpipe/trafilatura-style thresholds)
-    min_block_text_len: int = 8            # blocks shorter than this are dropped unless table
-    max_link_density: float = 0.35         # blocks with more linked text than this are boilerplate
 
     # --- partitioning / output
     num_partitions: int = 64               # partition_id = stable_hash(url) % num_partitions

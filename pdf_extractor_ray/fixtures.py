@@ -383,10 +383,7 @@ def golden_extract(pages: pa.Table, config=None) -> dict[str, str]:
             provided,
             url,
             config.problems_enabled,
-            sample_rate=config.validation_sample_rate,
-            similarity_threshold=config.validation_similarity_threshold,
             similarity_method=config.validation_similarity_method,
-            skip_if_no_alternative=config.validation_skip_sample_if_clean,
         )
         out[url] = result.text
     return out

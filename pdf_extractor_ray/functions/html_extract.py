@@ -15,9 +15,9 @@ Block model
   collapse to single spaces.
 - Blocks inside ``nav/header/footer/aside/form/button`` (or elements whose
   class/id tokens look like navigation chrome) are boilerplate.
-- A block whose linked-character density exceeds ``max_link_density`` is
+- A block whose linked-character density exceeds ``MAX_LINK_DENSITY`` is
   boilerplate (link lists, menus).
-- Short non-heading blocks (< ``min_block_text_len`` chars) are dropped.
+- Short non-heading blocks (< ``MIN_BLOCK_TEXT_LEN`` chars) are dropped.
 - ``<table>`` elements parse into :class:`..functions.tables.PageTable`;
   header row = a leading ``<th>`` row.
 - ``<div class="page">`` marks a page boundary (the fixture analogue of a
@@ -62,6 +62,11 @@ BLOCK_TAGS = frozenset(
     }
 )
 HEADING_TAGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
+
+# Block scoring thresholds (this engine's Boilerpipe/trafilatura-style
+# settings; the reference has no HTML path).
+MIN_BLOCK_TEXT_LEN = 8    # shorter non-heading, non-table blocks drop
+MAX_LINK_DENSITY = 0.35   # blocks with more linked text are boilerplate
 
 
 @dataclass
@@ -440,11 +445,7 @@ def tokenize_blocks(html: str) -> list[Block]:
     return blocks
 
 
-def score_blocks(
-    blocks: list[Block],
-    min_block_text_len: int = 8,
-    max_link_density: float = 0.35,
-) -> list[Block]:
+def score_blocks(blocks: list[Block]) -> list[Block]:
     """Keep content blocks, drop boilerplate.
 
     Rules: ancestor-boilerplate blocks drop; blocks with link density above
@@ -459,9 +460,9 @@ def score_blocks(
         if block.kind == "table":
             kept.append(block)
             continue
-        if block.link_density > max_link_density:
+        if block.link_density > MAX_LINK_DENSITY:
             continue
-        if block.kind != "heading" and block.text_len < min_block_text_len:
+        if block.kind != "heading" and block.text_len < MIN_BLOCK_TEXT_LEN:
             continue
         kept.append(block)
     return kept
@@ -529,19 +530,14 @@ def render_merged_tables(blocks: list[Block]) -> str:
     return "\n\n".join(t.to_markdown() for t in merged if t.to_markdown())
 
 
-def extract_html(
-    html: str,
-    flavor: str = "article",
-    min_block_text_len: int = 8,
-    max_link_density: float = 0.35,
-) -> tuple[str, dict]:
+def extract_html(html: str, flavor: str = "article") -> tuple[str, dict]:
     """Extract main content markdown from an HTML string.
 
     Returns ``(markdown, stats)`` where stats carries per-document extraction
     metrics (kept/dropped blocks, tables, pages) for the lineage aggregate.
     """
     blocks = tokenize_blocks(html)
-    kept = score_blocks(blocks, min_block_text_len, max_link_density)
+    kept = score_blocks(blocks)
     if flavor == "table_merge":
         text = render_merged_tables(kept)
     elif flavor == "text_extraction":
@@ -559,33 +555,23 @@ def extract_html(
     return text, stats
 
 
-def extract_html_spans(
-    html: str,
-    min_block_text_len: int = 8,
-    max_link_density: float = 0.35,
-) -> list[tuple[str, int, int, str]]:
+def extract_html_spans(html: str) -> list[tuple[str, int, int, str]]:
     """Kept-block PROVENANCE SPANS over the raw source: one
     ``(kind, span_start, span_end, text)`` tuple per kept block, where
     ``html[span_start:span_end]`` covers the block's raw text runs —
     the span-level alignment a training-data pipeline reconciles
     against the provided text column (SURVEY north star). Table blocks
     carry (-1, -1)."""
-    kept = score_blocks(
-        tokenize_blocks(html), min_block_text_len, max_link_density
-    )
+    kept = score_blocks(tokenize_blocks(html))
     return [(b.kind, b.span_start, b.span_end, b.text) for b in kept]
 
 
-def extract_html_pages(
-    html: str,
-    min_block_text_len: int = 8,
-    max_link_density: float = 0.35,
-) -> tuple[list[str], dict]:
+def extract_html_pages(html: str) -> tuple[list[str], dict]:
     """Article-flavor extraction returning per-page markdowns (the unit the
     chunked skew path reassembles; ``combine_pages`` over the concatenation
     across chunks is byte-identical to whole-document extraction)."""
     blocks = tokenize_blocks(html)
-    kept = score_blocks(blocks, min_block_text_len, max_link_density)
+    kept = score_blocks(blocks)
     pages = article_pages(kept)
     stats = {
         "n_blocks_raw": len(blocks),

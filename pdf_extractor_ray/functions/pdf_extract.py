@@ -158,15 +158,14 @@ def extract_pdf_pages(payload: bytes, password: bytes = b"") -> tuple[list[str],
     omitted); see :func:`extract_pdf` for the algorithm. This is the unit of
     chunk reassembly for skew-split oversized PDFs. ``password`` opens
     standard-handler-encrypted files (user or owner)."""
-    markdown_pages, stats = _extract_pages(payload, password=password)
-    return markdown_pages, stats
+    return records_to_markdown(decode_records(payload, password=password))
 
 
 def extract_pdf(payload: bytes, password: bytes = b"") -> tuple[str, dict]:
     """Whole-document extraction: per-page layout analysis + the canonical
     page combine (reference: src/core/utils.py:112-161). ``password``
     opens standard-handler-encrypted files (user or owner, round 4)."""
-    markdown_pages, stats = _extract_pages(payload, password=password)
+    markdown_pages, stats = extract_pdf_pages(payload, password=password)
     return combine_pages(markdown_pages), stats
 
 
@@ -283,10 +282,6 @@ def decode_records(payload: bytes, password: bytes = b"") -> np.ndarray:
 
         return parse_pdf_records(payload, password=password)
     raise ValueError("not a PDF payload")
-
-
-def _extract_pages(payload: bytes, password: bytes = b"") -> tuple[list[str], dict]:
-    return records_to_markdown(decode_records(payload, password=password))
 
 
 # ---------------------------------------------------------------------------

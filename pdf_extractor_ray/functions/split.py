@@ -8,7 +8,8 @@ ranges of the record array. Both are pure byte-level operations — each chunk
 is independently extractable, and concatenating the chunks' per-page
 markdowns in chunk order then applying
 :func:`..functions.assemble.combine_pages` is byte-identical to
-whole-document extraction (tested in tests/test_split.py).
+whole-document extraction (tested by
+``tests/test_pipeline.py::TestFlagshipPipeline::test_oversized_rows_chunked``).
 """
 
 from __future__ import annotations
@@ -19,28 +20,29 @@ import numpy as np
 
 from .pdf_extract import MAGIC, RECORD_DTYPE
 
+# Pages per chunk (reference: src/core/config.py:36, MAX_PAGES_PER_CHUNK).
+MAX_PAGES_PER_CHUNK = 15
+
 _PAGE_DIV_RE = re.compile(rb'<div\s+class="[^"]*\bpage\b[^"]*"', re.IGNORECASE)
 
 
-def split_html_payload(payload: bytes, max_pages_per_chunk: int = 15) -> list[bytes]:
-    """Split an HTML payload into chunks of ≤ ``max_pages_per_chunk`` page
+def split_html_payload(payload: bytes) -> list[bytes]:
+    """Split an HTML payload into chunks of ≤ ``MAX_PAGES_PER_CHUNK`` page
     divs. Content before the first page div (the shell preamble) rides with
     the first chunk; the tail after the last page div (footer) with the last.
     Documents without page structure are returned whole."""
     starts = [m.start() for m in _PAGE_DIV_RE.finditer(payload)]
-    if len(starts) <= max_pages_per_chunk:
+    if len(starts) <= MAX_PAGES_PER_CHUNK:
         return [payload]
     chunks: list[bytes] = []
-    for i in range(0, len(starts), max_pages_per_chunk):
+    for i in range(0, len(starts), MAX_PAGES_PER_CHUNK):
         lo = 0 if i == 0 else starts[i]
-        hi = len(payload) if i + max_pages_per_chunk >= len(starts) else starts[i + max_pages_per_chunk]
+        hi = len(payload) if i + MAX_PAGES_PER_CHUNK >= len(starts) else starts[i + MAX_PAGES_PER_CHUNK]
         chunks.append(payload[lo:hi])
     return chunks
 
 
-def split_pdf_payload(
-    payload: bytes, max_pages_per_chunk: int = 15, password: bytes = b""
-) -> list[bytes]:
+def split_pdf_payload(payload: bytes, password: bytes = b"") -> list[bytes]:
     """Split a PDF payload by page-id ranges. Toy payloads slice the record
     array directly; a real ``%PDF-1.x`` payload is decoded ONCE here and its
     chunks are re-emitted in the (internal) record format — each chunk is
@@ -60,27 +62,25 @@ def split_pdf_payload(
     if len(arr) == 0:
         return [payload]
     pages = np.unique(arr["page"])
-    if len(pages) <= max_pages_per_chunk:
+    if len(pages) <= MAX_PAGES_PER_CHUNK:
         return [payload]
     order = np.argsort(arr["page"], kind="stable")
     arr = arr[order]
     chunks: list[bytes] = []
-    for i in range(0, len(pages), max_pages_per_chunk):
-        page_set = pages[i : i + max_pages_per_chunk]
+    for i in range(0, len(pages), MAX_PAGES_PER_CHUNK):
+        page_set = pages[i : i + MAX_PAGES_PER_CHUNK]
         mask = (arr["page"] >= page_set[0]) & (arr["page"] <= page_set[-1])
         chunks.append(MAGIC + arr[mask].tobytes())
     return chunks
 
 
-def split_payload(
-    payload: bytes, route: str, max_pages_per_chunk: int = 15, password: bytes = b""
-) -> list[bytes]:
+def split_payload(payload: bytes, route: str, password: bytes = b"") -> list[bytes]:
     """Route-aware split; non-splittable routes return the payload whole.
     ``password`` opens encrypted PDFs for the decode-once split (the
     re-emitted record chunks are plaintext — the decrypt cost is paid
     exactly once, at the split)."""
     if route == "pdf":
-        return split_pdf_payload(payload, max_pages_per_chunk, password=password)
+        return split_pdf_payload(payload, password=password)
     if route == "html":
-        return split_html_payload(payload, max_pages_per_chunk)
+        return split_html_payload(payload)
     return [payload]

@@ -26,6 +26,12 @@ from .assemble import (
 from .problems import has_any_problem
 from .similarity import calculate_similarity
 
+# Validate every Nth page and flag sampled pages scoring below the
+# threshold (reference: src/core/config.py:89-99, VALIDATION_SAMPLE_RATE
+# and the similarity threshold).
+VALIDATION_SAMPLE_RATE = 5
+SIMILARITY_THRESHOLD = 0.95
+
 _PAGE_HEADER_RE = re.compile(r"^# Page (\d+)\n\n", re.S)
 
 
@@ -94,18 +100,17 @@ def validate_document(
     provided: str,
     url: str,
     enabled_problems,
-    sample_rate: int = 5,
-    similarity_threshold: float = 0.95,
+    sample_rate: int = VALIDATION_SAMPLE_RATE,
     similarity_method: str = "number_frequency",
-    skip_if_no_alternative: bool = True,
 ) -> DocValidation:
     """Validate and repair one document at page granularity.
 
     Per page: detectors → problem pages are replaced by the corresponding
     provided page (similarity 0.0, failed); clean sampled pages get a
-    similarity score vs the provided page, below-threshold pages are KEPT
-    but flagged (reference keeps originals on low similarity). Page counts
-    that cannot be aligned fall back to whole-document granularity.
+    similarity score vs a non-empty provided page, below-threshold pages
+    are KEPT but flagged (reference keeps originals on low similarity).
+    Page counts that cannot be aligned fall back to whole-document
+    granularity.
     """
     extracted = extracted or ""
     provided = provided or ""
@@ -129,14 +134,12 @@ def validate_document(
             min_similarity = 0.0
             passed = False
             continue
-        if should_validate_page(url, idx, sample_rate) and not (
-            skip_if_no_alternative and not alt
-        ):
+        if should_validate_page(url, idx, sample_rate) and alt:
             score = calculate_similarity(page, alt, similarity_method)
             n_validated += 1
             if min_similarity is None or score < min_similarity:
                 min_similarity = score
-            if score < similarity_threshold:
+            if score < SIMILARITY_THRESHOLD:
                 passed = False  # warn, keep original
         out_pages.append(page)
 

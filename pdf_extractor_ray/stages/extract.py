@@ -26,7 +26,7 @@ import pyarrow as pa
 from ..config import EngineConfig
 from ..functions.assemble import combine_pages
 from ..functions.html_extract import extract_html, extract_html_pages
-from ..functions.pdf_extract import extract_pdf_pages
+from ..functions.pdf_extract import extract_pdf_pages, extract_pdf_pages_tables
 from ..functions.routing import ROUTE_PDF, ROUTE_HTML, get_workflow_for_query
 from ..functions.split import split_payload
 
@@ -47,9 +47,7 @@ def row_passwords(batch: pa.Table, config: EngineConfig) -> list[bytes]:
     ]
 
 
-def chunk_pages(
-    chunk: bytes, route: str, config: EngineConfig, password: bytes
-) -> tuple[list[str], dict]:
+def chunk_pages(chunk: bytes, route: str, password: bytes) -> tuple[list[str], dict]:
     """Per-page markdowns and stats of one chunk (or one whole payload):
     PDF routes go to the layout kernel, everything else to the HTML
     extractor."""
@@ -58,11 +56,7 @@ def chunk_pages(
         # password only matters for un-split payloads and for undecodable
         # ones that fell through the split whole.
         return extract_pdf_pages(chunk, password=password)
-    return extract_html_pages(
-        chunk.decode("utf-8", errors="replace"),
-        config.min_block_text_len,
-        config.max_link_density,
-    )
+    return extract_html_pages(chunk.decode("utf-8", errors="replace"))
 
 
 class DocumentExtractor:
@@ -96,53 +90,44 @@ class DocumentExtractor:
         if payload is None or route not in (ROUTE_PDF, ROUTE_HTML):
             return "", 0, 0, 0, 0
         pw = self._pw if password is None else password
-        cfg = self.config
-        if needs_split and self.flavor == "article":
-            chunks = split_payload(payload, route, cfg.max_pages_per_chunk, password=pw)
-            all_pages: list[str] = []
-            n_pages = n_blocks = n_tables = 0
-            for chunk in chunks:
-                pages, stats = chunk_pages(chunk, route, cfg, pw)
-                all_pages.extend(pages)
-                n_pages += stats["n_pages"]
-                n_blocks += stats.get("n_blocks_kept", stats.get("n_blocks", 0))
-                n_tables += stats.get("n_tables", 0)
-            if route == ROUTE_HTML:
-                # As whole-document extract_html: a page with no kept
-                # block still counts as one page.
-                n_pages = n_pages or 1
-            text = combine_pages(all_pages)
-            return text, n_pages, n_blocks, n_tables, len(chunks)
-        if route == ROUTE_PDF:
-            if self.flavor == "text_extraction":
-                # table-aware PDF layout analysis + per-cell BiDi — the
-                # pdfplumber bank-statement path
-                # (reference: extraction_service.py:26-114)
-                from ..functions.pdf_extract import extract_pdf_pages_tables
-
-                pages, stats = extract_pdf_pages_tables(payload, password=pw)
-                return (
-                    combine_pages(pages),
-                    stats["n_pages"],
-                    stats["n_blocks"],
-                    stats["n_tables"],
-                    1,
-                )
-            pages, stats = extract_pdf_pages(payload, password=pw)
+        if route == ROUTE_PDF and self.flavor == "text_extraction":
+            # table-aware PDF layout analysis + per-cell BiDi — the
+            # pdfplumber bank-statement path
+            # (reference: extraction_service.py:26-114)
+            pages, stats = extract_pdf_pages_tables(payload, password=pw)
             return (
                 combine_pages(pages),
                 stats["n_pages"],
                 stats["n_blocks"],
-                0,
+                stats["n_tables"],
                 1,
             )
-        text, stats = extract_html(
-            payload.decode("utf-8", errors="replace"),
-            self.flavor,
-            cfg.min_block_text_len,
-            cfg.max_link_density,
+        if route == ROUTE_HTML and self.flavor != "article":
+            text, stats = extract_html(
+                payload.decode("utf-8", errors="replace"), self.flavor
+            )
+            return text, stats["n_pages"], stats["n_blocks_kept"], stats["n_tables"], 1
+        # Page-wise extraction (article HTML and PDF, table_merge PDF):
+        # per-page markdowns of each chunk, combined once. Only article
+        # rows flagged oversized are cut into more than one chunk.
+        chunks = (
+            split_payload(payload, route, password=pw)
+            if needs_split and self.flavor == "article"
+            else [payload]
         )
-        return text, stats["n_pages"], stats["n_blocks_kept"], stats["n_tables"], 1
+        all_pages: list[str] = []
+        n_pages = n_blocks = n_tables = 0
+        for chunk in chunks:
+            pages, stats = chunk_pages(chunk, route, pw)
+            all_pages.extend(pages)
+            n_pages += stats["n_pages"]
+            n_blocks += stats.get("n_blocks_kept", stats.get("n_blocks", 0))
+            n_tables += stats.get("n_tables", 0)
+        if route == ROUTE_HTML:
+            # As whole-document extract_html: a page with no kept block
+            # still counts as one page.
+            n_pages = n_pages or 1
+        return combine_pages(all_pages), n_pages, n_blocks, n_tables, len(chunks)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch["html"]

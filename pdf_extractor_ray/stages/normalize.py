@@ -17,7 +17,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import EngineConfig
-from ..functions.routing import ROUTE_EMPTY, ROUTE_PDF, ROUTE_HTML, PDF_MAGIC
+from ..functions.routing import sniff_payload_route
+
+# Payloads above this many bytes are chunked inside the extract UDF
+# (reference: src/services/pdf_processor.py:29-68 splits oversized inputs
+# before extraction).
+SPLIT_THRESHOLD_BYTES = 256_000
 
 
 def stable_hash_mod(values: list[str] | np.ndarray, modulus: int) -> np.ndarray:
@@ -33,52 +38,24 @@ def stable_hash_mod(values: list[str] | np.ndarray, modulus: int) -> np.ndarray:
 def normalize_route(batch: pa.Table, config: EngineConfig | None = None) -> pa.Table:
     """Add ``route``, ``partition_id``, ``payload_bytes``, ``needs_split``.
 
-    Vectorized: the PDF-magic check is an Arrow kernel over the first four
-    payload bytes; only the url hash iterates (short strings).
+    Each row's route is :func:`..functions.routing.sniff_payload_route` of
+    its first 1024 payload bytes (all the sniffer reads), the same call the
+    golden oracle makes, so the route policy lives in one place. Sizes and
+    the split flag are Arrow kernels; a null payload has size 0.
     """
     config = config or EngineConfig()
     payload = batch["html"]
-    sizes = pc.binary_length(payload)
-    # First-4-bytes magic check, vectorized.
-    prefix = pc.binary_slice(payload, 0, 4)
-    is_pdf = pc.equal(prefix, pa.scalar(PDF_MAGIC, pa.binary()))
-    # Kleene or: null payload must classify as empty, not propagate null.
-    is_empty = pc.or_kleene(
-        pc.is_null(payload), pc.equal(pc.fill_null(sizes, 0), 0)
+    sizes = pc.fill_null(pc.binary_length(payload), 0)
+    route = pa.array(
+        [sniff_payload_route(h) for h in pc.binary_slice(payload, 0, 1024).to_pylist()],
+        pa.string(),
     )
-    route = pc.if_else(
-        is_empty,
-        pa.scalar(ROUTE_EMPTY),
-        pc.if_else(
-            pc.fill_null(is_pdf, False), pa.scalar(ROUTE_PDF), pa.scalar(ROUTE_HTML)
-        ),
-    )
-    # Leading-junk PDFs (round 5): a %PDF- header within the first 1024
-    # bytes re-routes to the pdf branch unless the prefix looks like
-    # HTML — the Adobe implementation-note scan, mirrored by
-    # sniff_payload_route. The bytes-in pre-filter keeps this a cheap
-    # scan over the 1 KiB head; genuine HTML rows fail it immediately.
-    vals = route.to_pylist()
-    if ROUTE_HTML in vals:
-        from ..functions.routing import sniff_payload_route
-
-        heads = pc.binary_slice(payload, 0, 1024).to_pylist()
-        route = pa.array(
-            [
-                sniff_payload_route(h)
-                if (r == ROUTE_HTML and h and b"%PDF-" in h)
-                else r
-                for r, h in zip(vals, heads)
-            ],
-            pa.string(),
-        )
     partition_id = stable_hash_mod(
         batch["url"].to_pylist(), config.num_partitions
     )
-    needs_split = pc.greater(pc.fill_null(sizes, 0), config.split_threshold_bytes)
     return (
         batch.append_column("route", route)
-        .append_column("payload_bytes", pc.cast(pc.fill_null(sizes, 0), pa.int64()))
+        .append_column("payload_bytes", pc.cast(sizes, pa.int64()))
         .append_column("partition_id", pa.array(partition_id, pa.int32()))
-        .append_column("needs_split", needs_split)
+        .append_column("needs_split", pc.greater(sizes, SPLIT_THRESHOLD_BYTES))
     )

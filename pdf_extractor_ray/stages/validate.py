@@ -37,10 +37,7 @@ def validate_batch(batch: pa.Table, config: EngineConfig | None = None) -> pa.Ta
                 alternative,
                 url,
                 config.problems_enabled,
-                sample_rate=config.validation_sample_rate,
-                similarity_threshold=config.validation_similarity_threshold,
                 similarity_method=config.validation_similarity_method,
-                skip_if_no_alternative=config.validation_skip_sample_if_clean,
             )
         )
 

@@ -56,6 +56,9 @@ def compare(name: str, ours: pd.DataFrame, oracle: pd.DataFrame) -> list[str]:
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    # One result per line, each written out at once: a Ray abort of this
+    # process must not drop the results printed before it.
+    sys.stdout.reconfigure(line_buffering=True)
 
     import ray
 

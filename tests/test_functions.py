@@ -235,6 +235,36 @@ class TestRouting:
         assert sniff_payload_route(b"") == "empty"
         assert sniff_payload_route(None) == "empty"
 
+    def test_normalize_route_is_sniff_per_row(self):
+        import pyarrow as pa
+
+        from pdf_extractor_ray.stages.normalize import (
+            SPLIT_THRESHOLD_BYTES,
+            normalize_route,
+        )
+
+        payloads = [
+            None,
+            b"",
+            b"%PDF",
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/pdf\r\n\r\n%PDF-1.4 x",
+            b"\x00" * 1500 + b"%PDF-1.4 x",
+            b"<!DOCTYPE html><html><body>%PDF-1.4 is a format</body>",
+            b"<p>" + b"x" * SPLIT_THRESHOLD_BYTES + b"</p>",
+        ]
+        batch = pa.table(
+            {
+                "url": [f"u://{i}" for i in range(len(payloads))],
+                "html": pa.array(payloads, pa.binary()),
+            }
+        )
+        out = normalize_route(batch)
+        routes = out["route"].to_pylist()
+        assert routes == [sniff_payload_route(p) for p in payloads]
+        assert routes == ["empty", "empty", "pdf", "pdf", "html", "html", "html"]
+        assert out["payload_bytes"].to_pylist() == [len(p or b"") for p in payloads]
+        assert out["needs_split"].to_pylist() == [False] * 6 + [True]
+
     @pytest.mark.parametrize(
         "query,workflow",
         [

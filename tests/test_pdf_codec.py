@@ -19,7 +19,7 @@ from pdf_extractor_ray.functions.pdf_extract import (
     extract_pdf,
     layout_text,
 )
-from pdf_extractor_ray.functions.split import split_pdf_payload
+from pdf_extractor_ray.functions.split import MAX_PAGES_PER_CHUNK, split_pdf_payload
 from pdf_extractor_ray.stages.sections import build_pdf_outline_sections
 
 SIMPLE = "hello world this is a simple test document with some words"
@@ -555,8 +555,8 @@ class TestRealPdfSplit:
         text = " ".join(f"w{i}" for i in range(20000))  # many pages
         pdf = build_pdf(text)
         n_pages = len(wrap_text_rows(text))
-        assert n_pages > 15
-        chunks = split_pdf_payload(pdf, max_pages_per_chunk=15)
+        assert n_pages > MAX_PAGES_PER_CHUNK
+        chunks = split_pdf_payload(pdf)
         assert len(chunks) > 1
         # chunk-wise extraction concatenates to whole-doc extraction
         from pdf_extractor_ray.functions.assemble import combine_pages

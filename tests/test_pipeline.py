@@ -8,6 +8,7 @@ import pytest
 
 from pdf_extractor_ray.config import EngineConfig
 from pdf_extractor_ray.pipelines.extract import extraction_pipeline
+from pdf_extractor_ray.stages.normalize import SPLIT_THRESHOLD_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ class TestFlagshipPipeline:
         from pdf_extractor_ray.stages.normalize import normalize_route
 
         empty = b"<html><body><nav><a href='x'>home</a></nav><p>tiny</p></body></html>"
-        padding = b"<!--" + b"x" * EngineConfig().split_threshold_bytes + b"-->"
+        padding = b"<!--" + b"x" * SPLIT_THRESHOLD_BYTES + b"-->"
         template = small_pages.slice(0, 1).to_pylist()[0]
         extra = pa.Table.from_pylist(
             [
@@ -110,7 +111,7 @@ class TestFlagshipPipeline:
         broken = b"%PDF-1.4\n1 0 obj broken"
         small_url = "https://broken.example/report.pdf"
         big_url = "https://broken.example/oversized.pdf"
-        threshold = EngineConfig().split_threshold_bytes
+        threshold = SPLIT_THRESHOLD_BYTES
         big = broken + b"\n%" + b"x" * threshold
         pages = small_pages.select(["url", "html", "text"]).slice(0, 40)
         bad = pa.table(
