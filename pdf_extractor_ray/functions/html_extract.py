@@ -42,7 +42,6 @@ from html import unescape as _unescape
 import re
 
 from .assemble import EMPTY_CONTENT_MESSAGE, combine_pages
-from .normalize import fix_bidi_text
 from .tables import MergedTable, PageTable, merge_tables_across_pages
 
 IGNORED_TAGS = frozenset({"script", "style", "noscript", "template", "svg", "head", "iframe"})
@@ -468,29 +467,6 @@ def score_blocks(blocks: list[Block]) -> list[Block]:
     return kept
 
 
-def _render_inline_table(table: PageTable, bidi_cells: bool = False) -> str:
-    """Inline (article-flavor) pipe-table rendering: header + separator +
-    rows when the table has headers, bare pipe rows otherwise.
-
-    ``bidi_cells`` applies the RTL display-order fix per cell — the
-    text_extraction workflow's behavior (reference:
-    src/services/extraction_service.py:50-57 runs fix_bidi_text on every
-    pdfplumber cell)."""
-    fix = fix_bidi_text if bidi_cells else (lambda s: s)
-    lines: list[str] = []
-    if table.has_headers and table.headers:
-        width = len(table.headers)
-        lines.append("| " + " | ".join(fix(h) for h in table.headers) + " |")
-        lines.append("| " + " | ".join(["---"] * width) + " |")
-        for row in table.data_rows:
-            padded = (row + [""] * (width - len(row)))[:width]
-            lines.append("| " + " | ".join(fix(c) for c in padded) + " |")
-    else:
-        for row in table.data_rows:
-            lines.append("| " + " | ".join(fix(c) for c in row) + " |")
-    return "\n".join(lines)
-
-
 def article_pages(blocks: list[Block], bidi_cells: bool = False) -> list[str]:
     """Article flavor as per-page markdowns (non-empty pages only, in page
     order). The chunked path concatenates these across chunks before the
@@ -500,7 +476,7 @@ def article_pages(blocks: list[Block], bidi_cells: bool = False) -> list[str]:
         if block.kind == "heading":
             md = "#" * block.heading_level + " " + block.text
         elif block.kind == "table":
-            md = _render_inline_table(block.table, bidi_cells)
+            md = block.table.to_markdown(bidi_cells)
         elif block.kind == "list_item":
             md = "- " + block.text
         elif block.kind == "pre":
@@ -514,12 +490,6 @@ def article_pages(blocks: list[Block], bidi_cells: bool = False) -> list[str]:
     return ["\n\n".join(pages[p]) for p in sorted(pages)]
 
 
-def render_article(blocks: list[Block]) -> str:
-    """Article flavor: headings/paragraphs/inline tables, per page, combined
-    with the canonical page layout."""
-    return combine_pages(article_pages(blocks))
-
-
 def render_merged_tables(blocks: list[Block]) -> str:
     """Table-merge flavor: cross-page merged tables with captions
     (reference: table_merger.py:102-186, 38-92), joined with blank lines."""
@@ -528,6 +498,18 @@ def render_merged_tables(blocks: list[Block]) -> str:
         return EMPTY_CONTENT_MESSAGE
     merged: list[MergedTable] = merge_tables_across_pages(tables)
     return "\n\n".join(t.to_markdown() for t in merged if t.to_markdown())
+
+
+def _extract_stats(blocks: list[Block], kept: list[Block]) -> dict:
+    """Per-document extraction metrics: raw and kept blocks, kept tables,
+    and pages with a kept block (no floor; :func:`extract_html` counts a
+    page with no kept block as one page)."""
+    return {
+        "n_blocks_raw": len(blocks),
+        "n_blocks_kept": len(kept),
+        "n_tables": sum(1 for b in kept if b.kind == "table"),
+        "n_pages": len({b.page for b in kept}),
+    }
 
 
 def extract_html(html: str, flavor: str = "article") -> tuple[str, dict]:
@@ -540,18 +522,12 @@ def extract_html(html: str, flavor: str = "article") -> tuple[str, dict]:
     kept = score_blocks(blocks)
     if flavor == "table_merge":
         text = render_merged_tables(kept)
-    elif flavor == "text_extraction":
-        # pdfplumber-analogue route: article layout + per-cell bidi fix
-        # (reference: extraction_service.py:26-114).
-        text = combine_pages(article_pages(kept, bidi_cells=True))
     else:
-        text = render_article(kept)
-    stats = {
-        "n_blocks_raw": len(blocks),
-        "n_blocks_kept": len(kept),
-        "n_tables": sum(1 for b in kept if b.kind == "table"),
-        "n_pages": len({b.page for b in kept}) or 1,
-    }
+        # text_extraction is the pdfplumber-analogue route: article layout
+        # + per-cell bidi fix (reference: extraction_service.py:26-114).
+        text = combine_pages(article_pages(kept, bidi_cells=flavor == "text_extraction"))
+    stats = _extract_stats(blocks, kept)
+    stats["n_pages"] = stats["n_pages"] or 1
     return text, stats
 
 
@@ -572,13 +548,4 @@ def extract_html_pages(html: str) -> tuple[list[str], dict]:
     across chunks is byte-identical to whole-document extraction)."""
     blocks = tokenize_blocks(html)
     kept = score_blocks(blocks)
-    pages = article_pages(kept)
-    stats = {
-        "n_blocks_raw": len(blocks),
-        "n_blocks_kept": len(kept),
-        "n_tables": sum(1 for b in kept if b.kind == "table"),
-        # Pages with a kept block, as extract_html counts them (without
-        # its floor of one, which the chunk merge applies once).
-        "n_pages": len({b.page for b in kept}),
-    }
-    return pages, stats
+    return article_pages(kept), _extract_stats(blocks, kept)

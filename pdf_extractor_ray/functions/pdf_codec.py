@@ -78,7 +78,7 @@ import zlib
 
 import numpy as np
 
-from .pdf_extract import LINE_H, PAGE_H, RECORD_DTYPE
+from .pdf_extract import LINE_H, PAGE_H, PAGE_W, RECORD_DTYPE, wrap_text_rows
 
 # ---------------------------------------------------------------------------
 # Standard security handler (ISO 32000 §7.6): RC4 + key derivation
@@ -201,43 +201,6 @@ def _pdf_escape(s: str) -> bytes:
     return b"".join(out)
 
 
-def wrap_text_rows(
-    text: str, chars_per_line: int = 80, lines_per_page: int = 40
-) -> list[list[str | None]]:
-    """Word-wrap ``text`` into pages of rows (None = blank separator row) —
-    the same wrap contract as the toy writer, so real-PDF and toy payloads
-    of the same text produce identical layout records."""
-    rows: list[str | None] = []
-    for para in text.split("\n\n"):
-        words = para.split()
-        if not words:
-            continue
-        if rows:
-            rows.append(None)
-        line = ""
-        for word in words:
-            if not line:
-                line = word
-            elif len(line) + 1 + len(word) <= chars_per_line:
-                line += " " + word
-            else:
-                rows.append(line)
-                line = word
-        if line:
-            rows.append(line)
-
-    pages: list[list[str | None]] = []
-    current: list[str | None] = []
-    for row in rows:
-        if len(current) >= lines_per_page:
-            pages.append(current)
-            current = []
-        current.append(row)
-    if current:
-        pages.append(current)
-    return pages
-
-
 def _page_content(rows: list[str | None], style: str, cid: bool = False) -> bytes:
     """One page's content stream. ``style`` varies the operator mix so the
     reader's Td/TD/Tm/T*/TJ handling is all exercised by fixtures:
@@ -356,8 +319,6 @@ def build_two_column_pdf(
     page-middle gutter) — the real-parser counterpart of the toy
     ``layout_text_two_column`` fixture; the layout kernel must read it in
     column-major order via gutter detection."""
-    from .pdf_extract import CHAR_W as TOY_CHAR_W, PAGE_W
-
     def column_ops(text: str, x_off: float) -> list[bytes]:
         rows = (wrap_text_rows(text, chars_per_line, 10**9) or [[]])[0]
         ops: list[bytes] = []
@@ -375,7 +336,7 @@ def build_two_column_pdf(
     content = b"\n".join(
         [b"BT", b"/F1 10 Tf"]
         + column_ops(left_text, 0.0)
-        + column_ops(right_text, PAGE_W / 2 + 2 * TOY_CHAR_W)
+        + column_ops(right_text, PAGE_W / 2 + 2 * CHAR_W)
         + [b"ET"]
     )
     return _serialize_pdf([content], None, compress)
@@ -395,8 +356,6 @@ def build_table_pdf(
     (reference: src/services/extraction_service.py:26-114). The table-aware
     reader (``extract_pdf_pages_tables``) must recover headers/rows
     cell-exactly."""
-    from .pdf_extract import CHAR_W as TOY_CHAR_W
-
     table_rows = [headers] + [list(r) for r in rows]
     n_cols = max(len(r) for r in table_rows)
     widths = [
@@ -406,7 +365,7 @@ def build_table_pdf(
     x_offsets = []
     x = 0
     for w in widths:
-        x_offsets.append(x * TOY_CHAR_W)
+        x_offsets.append(x * CHAR_W)
         x += w + col_pad
 
     ops = [b"BT", b"/F1 10 Tf"]
@@ -1074,10 +1033,6 @@ class _Lexer:
                     self.pos += 1
             else:
                 return
-
-    def peek_bytes(self, k: int) -> bytes:
-        self._skip_ws()
-        return self.data[self.pos : self.pos + k]
 
     def read_token(self):
         """Next syntactic token: returns python object for atoms, or the

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assemble import combine_pages
+from .tables import PageTable
 
 MAGIC = b"%PDF-GRAFT1\n"
 
@@ -44,18 +45,18 @@ CHARS_PER_LINE = 80
 LINES_PER_PAGE = 40
 
 
-def layout_text(text: str, chars_per_line: int = CHARS_PER_LINE,
-                lines_per_page: int = LINES_PER_PAGE) -> bytes:
-    """Lay text out as a toy-PDF payload (the fixture generator's inverse of
-    :func:`extract_pdf`).
+def wrap_text_rows(
+    text: str, chars_per_line: int = CHARS_PER_LINE, lines_per_page: int = LINES_PER_PAGE
+) -> list[list[str | None]]:
+    """Word-wrap ``text`` into pages of rows (None = blank separator row):
+    the one wrap contract of every fixture writer, so toy and real-PDF
+    payloads of the same text produce identical layout records.
 
     Paragraphs (``\\n\\n``-separated) wrap at word boundaries to
-    ``chars_per_line`` columns; a blank line separates paragraphs; pages
-    break every ``lines_per_page`` rows. Round-trips exactly through
-    :func:`extract_pdf` for single-space-separated word text.
-    """
-    rows: list[str | None] = []  # None = blank separator row
-    for p_idx, para in enumerate(text.split("\n\n")):
+    ``chars_per_line`` columns; a blank row separates paragraphs; pages
+    break every ``lines_per_page`` rows."""
+    rows: list[str | None] = []
+    for para in text.split("\n\n"):
         words = para.split()
         if not words:
             continue
@@ -73,26 +74,45 @@ def layout_text(text: str, chars_per_line: int = CHARS_PER_LINE,
         if line:
             rows.append(line)
 
-    records = []
-    page, row_on_page = 0, 0
+    pages: list[list[str | None]] = []
+    current: list[str | None] = []
     for row in rows:
-        if row_on_page >= lines_per_page:
-            page += 1
-            row_on_page = 0
-        if row is None:
-            row_on_page += 1
-            continue
-        y1 = PAGE_H - row_on_page * LINE_H
-        y0 = y1 - LINE_H
-        for col, ch in enumerate(row):
-            if ch == " ":
-                continue
-            x0 = col * CHAR_W
-            records.append((page, x0, y0, x0 + CHAR_W, y1, ord(ch)))
-        row_on_page += 1
+        if len(current) >= lines_per_page:
+            pages.append(current)
+            current = []
+        current.append(row)
+    if current:
+        pages.append(current)
+    return pages
 
-    arr = np.array(records, dtype=RECORD_DTYPE)
-    return MAGIC + arr.tobytes()
+
+def _row_records(rows: list[str | None], page: int, x_offset: float = 0.0) -> list[tuple]:
+    """Char records of one page's wrapped rows: row i sits i line-heights
+    below the page top, one fixed-width cell per character."""
+    records = []
+    for row_idx, row in enumerate(rows):
+        if row is None:
+            continue
+        y1 = PAGE_H - row_idx * LINE_H
+        for col, ch in enumerate(row):
+            if ch != " ":
+                x0 = x_offset + col * CHAR_W
+                records.append((page, x0, y1 - LINE_H, x0 + CHAR_W, y1, ord(ch)))
+    return records
+
+
+def layout_text(text: str, chars_per_line: int = CHARS_PER_LINE,
+                lines_per_page: int = LINES_PER_PAGE) -> bytes:
+    """Lay text out as a toy-PDF payload (the fixture generator's inverse of
+    :func:`extract_pdf`), wrapped by :func:`wrap_text_rows`. Round-trips
+    exactly through :func:`extract_pdf` for single-space-separated word
+    text."""
+    records = [
+        rec
+        for page, rows in enumerate(wrap_text_rows(text, chars_per_line, lines_per_page))
+        for rec in _row_records(rows, page)
+    ]
+    return MAGIC + np.array(records, dtype=RECORD_DTYPE).tobytes()
 
 
 def layout_text_two_column(left_text: str, right_text: str,
@@ -101,40 +121,12 @@ def layout_text_two_column(left_text: str, right_text: str,
     column x ∈ [0, ~280], right column offset past the gutter at
     ``PAGE_W/2``). :func:`extract_pdf` must read left column fully, then
     right (column-major reading order)."""
-
-    def column_records(text: str, x_offset: float) -> list[tuple]:
-        records = []
-        row = 0
-        for para in text.split("\n\n"):
-            words = para.split()
-            if not words:
-                continue
-            if records:
-                row += 1
-            line = ""
-            lines = []
-            for word in words:
-                if not line:
-                    line = word
-                elif len(line) + 1 + len(word) <= chars_per_line:
-                    line += " " + word
-                else:
-                    lines.append(line)
-                    line = word
-            if line:
-                lines.append(line)
-            for text_line in lines:
-                y1 = PAGE_H - row * LINE_H
-                for col, ch in enumerate(text_line):
-                    if ch != " ":
-                        x0 = x_offset + col * CHAR_W
-                        records.append((0, x0, y1 - LINE_H, x0 + CHAR_W, y1, ord(ch)))
-                row += 1
-        return records
-
-    records = column_records(left_text, 0.0) + column_records(
-        right_text, PAGE_W / 2 + 2 * CHAR_W
-    )
+    records = [
+        rec
+        for text, x_offset in ((left_text, 0.0), (right_text, PAGE_W / 2 + 2 * CHAR_W))
+        for rows in wrap_text_rows(text, chars_per_line, 10**9)
+        for rec in _row_records(rows, 0, x_offset)
+    ]
     return MAGIC + np.array(records, dtype=RECORD_DTYPE).tobytes()
 
 
@@ -169,32 +161,34 @@ def extract_pdf(payload: bytes, password: bytes = b"") -> tuple[str, dict]:
     return combine_pages(markdown_pages), stats
 
 
+def _page_lines(sub: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """Group one page's (or column's) chars into lines: after a (-y, x)
+    sort, a line runs while the baseline (y0) stays within half a
+    line-height. Returns ``(baseline, cps, x0s, x1s)`` per line, top to
+    bottom, chars x-sorted."""
+    sub = sub[np.lexsort((sub["x0"], -sub["y0"]))]
+    y0s, cps, x0s, x1s = sub["y0"], sub["cp"], sub["x0"], sub["x1"]
+    bounds = np.append(
+        np.flatnonzero(np.concatenate(([True], np.abs(np.diff(y0s)) > LINE_H * 0.5))),
+        len(sub),
+    )
+    return [
+        (float(y0s[lo]), cps[lo:hi], x0s[lo:hi], x1s[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
 def _cluster_blocks(sub: np.ndarray) -> list[list[str]]:
-    """Cluster one page-column's chars into blocks of line texts.
-
-    Lines: baseline (y0) within half a line-height after a (-y, x) sort;
-    words: horizontal gaps inside a line; blocks: vertical gap > 1.5 ×
-    line-height between consecutive lines (paragraph leading).
-    """
-    order = np.lexsort((sub["x0"], -sub["y0"]))
-    sub = sub[order]
-    y_change = np.abs(np.diff(sub["y0"])) > LINE_H * 0.5
-    line_starts = np.concatenate(([True], y_change))
-    line_first = np.flatnonzero(line_starts)
-    line_last = np.concatenate((line_first[1:], [len(sub)])) - 1
-    line_y0 = sub["y0"][line_first]
-
+    """Cluster one page-column's chars into blocks of line texts: lines by
+    :func:`_page_lines`, words at horizontal gaps inside a line, a new
+    block at a vertical gap > 1.5 × line-height between consecutive lines
+    (paragraph leading)."""
     blocks: list[list[str]] = []
-    current: list[str] | None = None
     prev_y = None
-    for li in range(len(line_first)):
-        lo, hi = line_first[li], line_last[li] + 1
-        text = _line_to_text(sub["cp"][lo:hi], sub["x0"][lo:hi], sub["x1"][lo:hi])
-        y = float(line_y0[li])
-        if current is None or (prev_y is not None and prev_y - y > LINE_H * 1.5):
-            current = []
-            blocks.append(current)
-        current.append(text)
+    for y, cps, x0s, x1s in _page_lines(sub):
+        if prev_y is None or prev_y - y > LINE_H * 1.5:
+            blocks.append([])
+        blocks[-1].append(_line_to_text(cps, x0s, x1s))
         prev_y = y
     return blocks
 
@@ -340,8 +334,6 @@ def extract_pdf_pages_tables(
     :func:`records_to_markdown`. Column (gutter) detection is intentionally
     OFF here — a table's column gaps ARE gutters.
     """
-    from .normalize import fix_bidi_text
-
     arr = decode_records(payload, password=password)
     if len(arr) == 0:
         return [], {"n_pages": 0, "n_blocks": 0, "n_chars": 0, "n_tables": 0}
@@ -349,21 +341,10 @@ def extract_pdf_pages_tables(
     page_markdowns = []
     n_blocks = n_tables = 0
     for page in np.unique(arr["page"]):
-        sub = arr[arr["page"] == page]
-        order = np.lexsort((sub["x0"], -sub["y0"]))
-        sub = sub[order]
-        y_change = np.abs(np.diff(sub["y0"])) > LINE_H * 0.5
-        line_first = np.flatnonzero(np.concatenate(([True], y_change)))
-        line_last = np.concatenate((line_first[1:], [len(sub)])) - 1
-        lines: list[tuple[float, list[tuple[float, str]]]] = []
-        for li in range(len(line_first)):
-            lo, hi = line_first[li], line_last[li] + 1
-            lines.append(
-                (
-                    float(sub["y0"][lo]),
-                    _line_cells(sub["cp"][lo:hi], sub["x0"][lo:hi], sub["x1"][lo:hi]),
-                )
-            )
+        lines = [
+            (y, _line_cells(cps, x0s, x1s))
+            for y, cps, x0s, x1s in _page_lines(arr[arr["page"] == page])
+        ]
 
         blocks: list[str] = []
         text_run: list[str] = []
@@ -395,15 +376,8 @@ def extract_pdf_pages_tables(
                         break
                 if rows_mapped:
                     flush_text()
-                    headers = [c[1] for c in cells]
-                    width = len(headers)
-                    md = ["| " + " | ".join(fix_bidi_text(h) for h in headers) + " |"]
-                    md.append("| " + " | ".join(["---"] * width) + " |")
-                    for vals in rows_mapped:
-                        md.append(
-                            "| " + " | ".join(fix_bidi_text(c) for c in vals) + " |"
-                        )
-                    blocks.append("\n".join(md))
+                    table = PageTable([c[1] for c in cells], rows_mapped, int(page))
+                    blocks.append(table.to_markdown(bidi_cells=True))
                     n_tables += 1
                     prev_text_y = None
                     i = j

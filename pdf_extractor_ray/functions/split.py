@@ -18,7 +18,7 @@ import re
 
 import numpy as np
 
-from .pdf_extract import MAGIC, RECORD_DTYPE
+from .pdf_extract import MAGIC, decode_records
 
 # Pages per chunk (reference: src/core/config.py:36, MAX_PAGES_PER_CHUNK).
 MAX_PAGES_PER_CHUNK = 15
@@ -43,22 +43,15 @@ def split_html_payload(payload: bytes) -> list[bytes]:
 
 
 def split_pdf_payload(payload: bytes, password: bytes = b"") -> list[bytes]:
-    """Split a PDF payload by page-id ranges. Toy payloads slice the record
-    array directly; a real ``%PDF-1.x`` payload is decoded ONCE here and its
+    """Split a PDF payload by page-id ranges. The payload (toy or real
+    ``%PDF-1.x``) is decoded ONCE here by :func:`decode_records` and its
     chunks are re-emitted in the (internal) record format — each chunk is
     independently extractable by the same layout kernel, and the decode cost
     moves to the split stage instead of being paid per chunk."""
-    if payload.startswith(MAGIC):
-        body = payload[len(MAGIC):]
-        usable = len(body) - len(body) % RECORD_DTYPE.itemsize
-        arr = np.frombuffer(body[:usable], dtype=RECORD_DTYPE)
-    else:
-        from .pdf_extract import decode_records
-
-        try:
-            arr = decode_records(payload, password=password)
-        except Exception:
-            return [payload]  # undecodable: error containment downstream
+    try:
+        arr = decode_records(payload, password=password)
+    except Exception:
+        return [payload]  # undecodable: error containment downstream
     if len(arr) == 0:
         return [payload]
     pages = np.unique(arr["page"])

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import re
 
+from .normalize import fix_bidi_text
+
 _ROW_NUMBER_RE = re.compile(r"-?\d+(?:,\d{3})*(?:\.\d+)?")
 # A separator line: pipes delimiting cells made only of dashes/colons/space,
 # at least one dash. (The reference's single-cell regex
@@ -35,6 +37,30 @@ class PageTable:
     data_rows: list[list[str]]
     page: int
     has_headers: bool = True
+
+    def to_markdown(self, bidi_cells: bool = False) -> str:
+        """Inline pipe-table rendering, no caption: header + separator +
+        rows padded or trimmed to the header width when the table has
+        headers, bare pipe rows otherwise. The one renderer of HTML article
+        tables and of the table-aware PDF reader.
+
+        ``bidi_cells`` applies the RTL display-order fix per cell — the
+        text_extraction workflow's behavior (reference:
+        src/services/extraction_service.py:50-57 runs fix_bidi_text on every
+        pdfplumber cell)."""
+        fix = fix_bidi_text if bidi_cells else (lambda s: s)
+        lines: list[str] = []
+        if self.has_headers and self.headers:
+            width = len(self.headers)
+            lines.append("| " + " | ".join(fix(h) for h in self.headers) + " |")
+            lines.append("| " + " | ".join(["---"] * width) + " |")
+            for row in self.data_rows:
+                padded = (row + [""] * (width - len(row)))[:width]
+                lines.append("| " + " | ".join(fix(c) for c in padded) + " |")
+        else:
+            for row in self.data_rows:
+                lines.append("| " + " | ".join(fix(c) for c in row) + " |")
+        return "\n".join(lines)
 
 
 @dataclass

@@ -47,14 +47,20 @@ def row_passwords(batch: pa.Table, config: EngineConfig) -> list[bytes]:
     ]
 
 
-def chunk_pages(chunk: bytes, route: str, password: bytes) -> tuple[list[str], dict]:
+def chunk_pages(
+    chunk: bytes, route: str, password: bytes, flavor: str
+) -> tuple[list[str], dict]:
     """Per-page markdowns and stats of one chunk (or one whole payload):
-    PDF routes go to the layout kernel, everything else to the HTML
-    extractor."""
+    PDF routes go to the layout kernel (its table-aware reader for the
+    text_extraction flavor), everything else to the HTML extractor."""
     if route == ROUTE_PDF:
         # Split chunks arrive in the plaintext internal record format; the
         # password only matters for un-split payloads and for undecodable
         # ones that fell through the split whole.
+        if flavor == "text_extraction":
+            # the pdfplumber bank-statement path: pipe tables + per-cell
+            # BiDi (reference: extraction_service.py:26-114)
+            return extract_pdf_pages_tables(chunk, password=password)
         return extract_pdf_pages(chunk, password=password)
     return extract_html_pages(chunk.decode("utf-8", errors="replace"))
 
@@ -90,25 +96,13 @@ class DocumentExtractor:
         if payload is None or route not in (ROUTE_PDF, ROUTE_HTML):
             return "", 0, 0, 0, 0
         pw = self._pw if password is None else password
-        if route == ROUTE_PDF and self.flavor == "text_extraction":
-            # table-aware PDF layout analysis + per-cell BiDi — the
-            # pdfplumber bank-statement path
-            # (reference: extraction_service.py:26-114)
-            pages, stats = extract_pdf_pages_tables(payload, password=pw)
-            return (
-                combine_pages(pages),
-                stats["n_pages"],
-                stats["n_blocks"],
-                stats["n_tables"],
-                1,
-            )
         if route == ROUTE_HTML and self.flavor != "article":
             text, stats = extract_html(
                 payload.decode("utf-8", errors="replace"), self.flavor
             )
             return text, stats["n_pages"], stats["n_blocks_kept"], stats["n_tables"], 1
-        # Page-wise extraction (article HTML and PDF, table_merge PDF):
-        # per-page markdowns of each chunk, combined once. Only article
+        # Page-wise extraction (every PDF flavor, article HTML): per-page
+        # markdowns of each chunk, combined once. Only article
         # rows flagged oversized are cut into more than one chunk.
         chunks = (
             split_payload(payload, route, password=pw)
@@ -118,7 +112,7 @@ class DocumentExtractor:
         all_pages: list[str] = []
         n_pages = n_blocks = n_tables = 0
         for chunk in chunks:
-            pages, stats = chunk_pages(chunk, route, pw)
+            pages, stats = chunk_pages(chunk, route, pw, self.flavor)
             all_pages.extend(pages)
             n_pages += stats["n_pages"]
             n_blocks += stats.get("n_blocks_kept", stats.get("n_blocks", 0))

@@ -124,11 +124,8 @@ def build_pdf_outline_sections(
     # Page markdowns indexed by ACTUAL page id — a glyph-less page (e.g. an
     # empty section) must keep its slot or every later outline index would
     # shift onto the wrong content.
-    per_page: dict[int, str] = {}
-    if len(records):
-        for page in np.unique(records["page"]):
-            md, _ = records_to_markdown(records[records["page"] == page])
-            per_page[int(page)] = md[0] if md else ""
+    # records_to_markdown emits one markdown per unique page id, ascending.
+    per_page = dict(zip(np.unique(records["page"]).tolist(), records_to_markdown(records)[0]))
     n_pages = max(
         [int(records["page"].max()) + 1 if len(records) else 0]
         + [idx + 1 for _, idx in outline]

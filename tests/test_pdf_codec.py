@@ -12,12 +12,12 @@ from pdf_extractor_ray.functions.pdf_codec import (
     build_sectioned_pdf,
     parse_pdf_outline,
     parse_pdf_records,
-    wrap_text_rows,
 )
 from pdf_extractor_ray.functions.pdf_extract import (
     decode_records,
     extract_pdf,
     layout_text,
+    wrap_text_rows,
 )
 from pdf_extractor_ray.functions.split import MAX_PAGES_PER_CHUNK, split_pdf_payload
 from pdf_extractor_ray.stages.sections import build_pdf_outline_sections

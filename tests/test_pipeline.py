@@ -219,6 +219,58 @@ class TestTextExtractionFlavor:
         out = _collect(extraction_pipeline(ds, config=cfg, query="04_Bank_Statements"))
         assert len(out) == 30
 
+    def test_table_pdf_row_takes_the_table_reader(self):
+        """A PDF row under a text_extraction query runs the table-aware
+        reader on the one page-wise loop: its pipe tables come out, and a
+        row flagged oversized is still one chunk. The article flavor reads
+        the same row as plain text."""
+        from pdf_extractor_ray.functions.assemble import combine_pages
+        from pdf_extractor_ray.functions.pdf_codec import build_pdf, build_table_pdf
+        from pdf_extractor_ray.functions.pdf_extract import extract_pdf_pages_tables
+        from pdf_extractor_ray.functions.routing import ROUTE_PDF
+        from pdf_extractor_ray.stages.extract import DocumentExtractor
+        from pdf_extractor_ray.stages.normalize import normalize_route
+
+        pdf = build_table_pdf(
+            ["Date", "Description", "Amount", "Balance"],
+            [["01/02", "Deposit", "250.00", "1,250.00"], ["01/03", "Fee", "", "1,240.00"]],
+            title="Account statement",
+        )
+        batch = pa.Table.from_pylist(
+            [{"url": "u://statement", "warc_ts": 0, "html": pdf, "text": "", "lang": "en"}],
+            schema=pa.schema(
+                [
+                    ("url", pa.string()), ("warc_ts", pa.timestamp("us")),
+                    ("html", pa.binary()), ("text", pa.string()), ("lang", pa.string()),
+                ]
+            ),
+        )
+        routed = normalize_route(batch)
+        assert routed["route"][0].as_py() == ROUTE_PDF
+
+        tables = DocumentExtractor(query="04_Bank_Statements")(routed)
+        text = tables["extracted_text"][0].as_py()
+        assert text == combine_pages(extract_pdf_pages_tables(pdf)[0])
+        assert "| Date | Description | Amount | Balance |" in text
+        assert tables["n_tables"][0].as_py() >= 1
+        assert tables["n_chunks"][0].as_py() == 1
+
+        article = DocumentExtractor()(routed)
+        assert "|" not in article["extracted_text"][0].as_py()
+        assert "Deposit" in article["extracted_text"][0].as_py()
+        assert article["n_tables"][0].as_py() == 0
+
+        # Only article rows are chunked: a PDF past MAX_PAGES_PER_CHUNK
+        # pages flagged oversized is cut for the article flavor and read
+        # whole for text_extraction.
+        long_pdf = build_pdf(" ".join(f"w{i}" for i in range(1000)), lines_per_page=2)
+        extractor = DocumentExtractor(query="04_Bank_Statements")
+        for payload in (pdf, long_pdf):
+            whole = extractor._extract_one(payload, ROUTE_PDF, False)
+            flagged = extractor._extract_one(payload, ROUTE_PDF, True)
+            assert flagged == whole and flagged[4] == 1
+        assert DocumentExtractor()._extract_one(long_pdf, ROUTE_PDF, True)[4] > 1
+
 
 class TestGiantDocument:
     def test_reference_max_size_document(self):

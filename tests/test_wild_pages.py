@@ -63,13 +63,14 @@ class TestParserHardenings:
             + "<footer>(c) 2026 Example Corp legal privacy</footer>"
             "</body></html>"
         )
-        from pdf_extractor_ray.functions.html_extract import render_article
+        from pdf_extractor_ray.functions.assemble import combine_pages
+        from pdf_extractor_ray.functions.html_extract import article_pages
 
         if engine == "stdlib":
             blocks = html_oracle.tokenize_blocks(html, "stdlib")
         else:
             blocks = tokenize_blocks(html)
-        return render_article(score_blocks(blocks))
+        return combine_pages(article_pages(score_blocks(blocks)))
 
     def test_marked_sections_drop(self):
         got = self._extract(
@@ -88,10 +89,10 @@ class TestParserHardenings:
     def test_eof_truncated_tag_drops(self, tail):
         # crawl cut mid-attribute, mid-processing-instruction or
         # mid-declaration: the unterminated tail must not leak
-        from pdf_extractor_ray.functions.html_extract import render_article
+        from pdf_extractor_ray.functions.html_extract import extract_html
 
         html = "<html><body><p>" + TEXT + "</p>" + tail
-        got = render_article(score_blocks(tokenize_blocks(html)))
+        got, _ = extract_html(html)
         assert got == TEXT
 
     def test_nested_table_flattens_into_cell(self):
