@@ -10,8 +10,8 @@ Layout
 - ``config``      engine configuration (thresholds mirrored from reference config.py)
 - ``functions/``  pure, deterministic scalar/batch functions (normalize, numbers,
                   similarity, problem detectors, table merge, html/pdf parsing)
-- ``stages/``     Ray Data stage callables (route, extract with in-UDF chunk
-                  split + merge, validate, metrics)
+- ``stages/``     Ray Data stage callables (route, extract with in-UDF PDF
+                  chunk split + merge, validate, metrics)
 - ``pipelines/``  pipeline assembly + checkpointed, resumable output
 - ``ops/``        corpus-scale operations beyond the reference: dedup (exact,
                   minhash-LSH, simhash, ngram-jaccard, embedding), ANN search,

@@ -5,7 +5,7 @@ Mirrors the settable part of the reference's pydantic-settings config
 cheap to pickle into UDF closures (no globals, no env reads inside workers).
 The reference's fixed thresholds, which no caller changes, are module
 constants beside their only readers: ``MAX_PAGES_PER_CHUNK``
-(functions/split.py), ``SPLIT_THRESHOLD_BYTES`` (stages/normalize.py),
+(functions/pdf_extract.py), ``SPLIT_THRESHOLD_BYTES`` (stages/normalize.py),
 ``VALIDATION_SAMPLE_RATE`` and ``SIMILARITY_THRESHOLD``
 (functions/validate.py), ``MIN_BLOCK_TEXT_LEN`` and ``MAX_LINK_DENSITY``
 (functions/html_extract.py).

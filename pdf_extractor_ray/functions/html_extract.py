@@ -469,8 +469,7 @@ def score_blocks(blocks: list[Block]) -> list[Block]:
 
 def article_pages(blocks: list[Block], bidi_cells: bool = False) -> list[str]:
     """Article flavor as per-page markdowns (non-empty pages only, in page
-    order). The chunked path concatenates these across chunks before the
-    final :func:`..functions.assemble.combine_pages`."""
+    order), for :func:`..functions.assemble.combine_pages`."""
     pages: dict[int, list[str]] = {}
     for block in blocks:
         if block.kind == "heading":
@@ -500,18 +499,6 @@ def render_merged_tables(blocks: list[Block]) -> str:
     return "\n\n".join(t.to_markdown() for t in merged if t.to_markdown())
 
 
-def _extract_stats(blocks: list[Block], kept: list[Block]) -> dict:
-    """Per-document extraction metrics: raw and kept blocks, kept tables,
-    and pages with a kept block (no floor; :func:`extract_html` counts a
-    page with no kept block as one page)."""
-    return {
-        "n_blocks_raw": len(blocks),
-        "n_blocks_kept": len(kept),
-        "n_tables": sum(1 for b in kept if b.kind == "table"),
-        "n_pages": len({b.page for b in kept}),
-    }
-
-
 def extract_html(html: str, flavor: str = "article") -> tuple[str, dict]:
     """Extract main content markdown from an HTML string.
 
@@ -526,8 +513,13 @@ def extract_html(html: str, flavor: str = "article") -> tuple[str, dict]:
         # text_extraction is the pdfplumber-analogue route: article layout
         # + per-cell bidi fix (reference: extraction_service.py:26-114).
         text = combine_pages(article_pages(kept, bidi_cells=flavor == "text_extraction"))
-    stats = _extract_stats(blocks, kept)
-    stats["n_pages"] = stats["n_pages"] or 1
+    stats = {
+        "n_blocks_raw": len(blocks),
+        "n_blocks_kept": len(kept),
+        "n_tables": sum(1 for b in kept if b.kind == "table"),
+        # a document with no kept block still counts as one page
+        "n_pages": len({b.page for b in kept}) or 1,
+    }
     return text, stats
 
 
@@ -541,11 +533,3 @@ def extract_html_spans(html: str) -> list[tuple[str, int, int, str]]:
     kept = score_blocks(tokenize_blocks(html))
     return [(b.kind, b.span_start, b.span_end, b.text) for b in kept]
 
-
-def extract_html_pages(html: str) -> tuple[list[str], dict]:
-    """Article-flavor extraction returning per-page markdowns (the unit the
-    chunked skew path reassembles; ``combine_pages`` over the concatenation
-    across chunks is byte-identical to whole-document extraction)."""
-    blocks = tokenize_blocks(html)
-    kept = score_blocks(blocks)
-    return article_pages(kept), _extract_stats(blocks, kept)

@@ -26,6 +26,9 @@ from .tables import PageTable
 
 MAGIC = b"%PDF-GRAFT1\n"
 
+# Pages per chunk (reference: src/core/config.py:36, MAX_PAGES_PER_CHUNK).
+MAX_PAGES_PER_CHUNK = 15
+
 RECORD_DTYPE = np.dtype(
     [
         ("page", "<i4"),
@@ -276,6 +279,32 @@ def decode_records(payload: bytes, password: bytes = b"") -> np.ndarray:
 
         return parse_pdf_records(payload, password=password)
     raise ValueError("not a PDF payload")
+
+
+def split_pdf_payload(payload: bytes, password: bytes = b"") -> list[bytes]:
+    """Cut a PDF payload into chunks of ≤ ``MAX_PAGES_PER_CHUNK`` pages
+    (reference: src/services/pdf_processor.py:29-68). The payload (toy or
+    real ``%PDF-1.x``) is decoded ONCE by :func:`decode_records` and its
+    page ranges are re-emitted as plaintext toy-format payloads, so each
+    chunk is extractable by the same layout kernel without another decode or
+    decrypt. Concatenating the chunks' per-page markdowns in chunk order
+    and applying :func:`..functions.assemble.combine_pages` is byte-identical
+    to whole-document extraction. Undecodable and short payloads come back
+    whole."""
+    try:
+        arr = decode_records(payload, password=password)
+    except Exception:
+        return [payload]  # undecodable: error containment downstream
+    pages = np.unique(arr["page"])
+    if len(pages) <= MAX_PAGES_PER_CHUNK:
+        return [payload]
+    arr = arr[np.argsort(arr["page"], kind="stable")]
+    chunks: list[bytes] = []
+    for i in range(0, len(pages), MAX_PAGES_PER_CHUNK):
+        page_set = pages[i : i + MAX_PAGES_PER_CHUNK]
+        mask = (arr["page"] >= page_set[0]) & (arr["page"] <= page_set[-1])
+        chunks.append(MAGIC + arr[mask].tobytes())
+    return chunks
 
 
 # ---------------------------------------------------------------------------

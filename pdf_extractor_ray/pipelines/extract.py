@@ -6,7 +6,7 @@ a streaming Ray Data DAG:
 
     read_parquet(pages)                      # url, warc_ts, html, text, lang
       → map_batches(normalize_route)         # stateless: sniff, route, partition_id
-      → map_batches(extract_batch)           # stateless tasks; oversized rows
+      → map_batches(extract_batch)           # stateless tasks; oversized PDFs
                                              #   chunked + merged in the UDF
       → map_batches(validate_batch)          # one-pass page profile detectors
                                              #   + similarity + repair
@@ -42,9 +42,10 @@ def extraction_pipeline(
     The extract stage runs as stateless tasks: Ray reuses worker processes,
     so module-level parser state stays warm while tasks schedule
     elastically (measured 2-3× faster end-to-end than a fixed actor pool on
-    this engine). Oversized rows are cut into page-range chunks and merged
-    back in page order inside the extract task. ``query`` picks the
-    extraction flavor (see :class:`..stages.extract.DocumentExtractor`).
+    this engine). Oversized PDF rows are cut into page-range chunks and
+    merged back in page order inside the extract task; HTML rows are
+    extracted whole. ``query`` picks the extraction flavor (see
+    :class:`..stages.extract.DocumentExtractor`).
     """
     config = config or EngineConfig()
     ds = ds.map_batches(

@@ -9,14 +9,15 @@ cheap; the compiled patterns live at module level and stay warm in the
 reused worker processes (the Ray analogue of the reference's process-wide
 singleton clients, reference: src/services/client_factory.py:19-135).
 
-Skew handling: rows flagged ``needs_split`` are cut into page-range chunks
-(reference: src/services/pdf_processor.py:29-68 semantics) and the chunks'
-per-page markdowns are reassembled *inside the UDF* — all chunks of a
-document originate from one input row, so they are already co-located and
-no shuffle is needed. This is the engine's only skew path: a separate
-split → extract → ``groupby(url)`` reassembly would run in the same fused
-task that holds the payload, so it saves no memory, and its exchange would
-move every row.
+Skew handling: PDF rows flagged ``needs_split`` are cut into page-range
+chunks of ≤ ``MAX_PAGES_PER_CHUNK`` pages (reference:
+src/services/pdf_processor.py:29-68 semantics) and the chunks' per-page
+markdowns are reassembled *inside the UDF* — all chunks of a document
+originate from one input row, so they are already co-located and no shuffle
+is needed. This is the engine's only skew path: a separate split → extract →
+``groupby(url)`` reassembly would run in the same fused task that holds the
+payload, so it saves no memory, and its exchange would move every row. HTML
+rows are never cut: each is one ``extract_html`` call, the golden's own.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ import pyarrow as pa
 
 from ..config import EngineConfig
 from ..functions.assemble import combine_pages
-from ..functions.html_extract import extract_html, extract_html_pages
-from ..functions.pdf_extract import extract_pdf_pages, extract_pdf_pages_tables
+from ..functions.html_extract import extract_html
+from ..functions.pdf_extract import (
+    extract_pdf_pages,
+    extract_pdf_pages_tables,
+    split_pdf_payload,
+)
 from ..functions.routing import ROUTE_PDF, ROUTE_HTML, get_workflow_for_query
-from ..functions.split import split_payload
 
 
 def row_passwords(batch: pa.Table, config: EngineConfig) -> list[bytes]:
@@ -45,24 +49,6 @@ def row_passwords(batch: pa.Table, config: EngineConfig) -> list[bytes]:
         else (bytes(v) if isinstance(v, (bytes, bytearray)) else str(v).encode("utf-8"))
         for v in batch[pw_col].to_pylist()
     ]
-
-
-def chunk_pages(
-    chunk: bytes, route: str, password: bytes, flavor: str
-) -> tuple[list[str], dict]:
-    """Per-page markdowns and stats of one chunk (or one whole payload):
-    PDF routes go to the layout kernel (its table-aware reader for the
-    text_extraction flavor), everything else to the HTML extractor."""
-    if route == ROUTE_PDF:
-        # Split chunks arrive in the plaintext internal record format; the
-        # password only matters for un-split payloads and for undecodable
-        # ones that fell through the split whole.
-        if flavor == "text_extraction":
-            # the pdfplumber bank-statement path: pipe tables + per-cell
-            # BiDi (reference: extraction_service.py:26-114)
-            return extract_pdf_pages_tables(chunk, password=password)
-        return extract_pdf_pages(chunk, password=password)
-    return extract_html_pages(chunk.decode("utf-8", errors="replace"))
 
 
 class DocumentExtractor:
@@ -95,32 +81,34 @@ class DocumentExtractor:
     ):
         if payload is None or route not in (ROUTE_PDF, ROUTE_HTML):
             return "", 0, 0, 0, 0
-        pw = self._pw if password is None else password
-        if route == ROUTE_HTML and self.flavor != "article":
+        if route == ROUTE_HTML:
             text, stats = extract_html(
                 payload.decode("utf-8", errors="replace"), self.flavor
             )
             return text, stats["n_pages"], stats["n_blocks_kept"], stats["n_tables"], 1
-        # Page-wise extraction (every PDF flavor, article HTML): per-page
-        # markdowns of each chunk, combined once. Only article
-        # rows flagged oversized are cut into more than one chunk.
+        # PDF: per-page markdowns of each chunk, combined once. Only article
+        # rows flagged oversized are cut into more than one chunk; the cut
+        # chunks are plaintext toy-format payloads, so the password only
+        # matters for a payload read whole.
+        pw = self._pw if password is None else password
         chunks = (
-            split_payload(payload, route, password=pw)
+            split_pdf_payload(payload, password=pw)
             if needs_split and self.flavor == "article"
             else [payload]
+        )
+        # text_extraction is the pdfplumber bank-statement path: pipe tables
+        # + per-cell BiDi (reference: extraction_service.py:26-114).
+        extract_pages = (
+            extract_pdf_pages_tables if self.flavor == "text_extraction" else extract_pdf_pages
         )
         all_pages: list[str] = []
         n_pages = n_blocks = n_tables = 0
         for chunk in chunks:
-            pages, stats = chunk_pages(chunk, route, pw, self.flavor)
+            pages, stats = extract_pages(chunk, password=pw)
             all_pages.extend(pages)
             n_pages += stats["n_pages"]
-            n_blocks += stats.get("n_blocks_kept", stats.get("n_blocks", 0))
+            n_blocks += stats["n_blocks"]
             n_tables += stats.get("n_tables", 0)
-        if route == ROUTE_HTML:
-            # As whole-document extract_html: a page with no kept block
-            # still counts as one page.
-            n_pages = n_pages or 1
         return combine_pages(all_pages), n_pages, n_blocks, n_tables, len(chunks)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

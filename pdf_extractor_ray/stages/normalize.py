@@ -4,8 +4,8 @@ The cheap stateless projection that runs first (SURVEY.md §7.1): sniffs the
 payload magic (reference: src/services/pdf_input_handler.py:88-92), assigns
 the workflow route (reference: src/workflows/workflow_router.py:15-46),
 computes the explicit ``partition_id = stable_hash(url) % P`` used for
-lineage metrics and the resumable output layout, and classifies sizes for
-skew-aware splitting.
+lineage metrics and the resumable output layout, and flags the oversized PDF
+rows that the extract stage cuts into page ranges.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import EngineConfig
-from ..functions.routing import sniff_payload_route
+from ..functions.routing import ROUTE_PDF, sniff_payload_route
 
-# Payloads above this many bytes are chunked inside the extract UDF
-# (reference: src/services/pdf_processor.py:29-68 splits oversized inputs
+# PDF payloads above this many bytes are chunked inside the extract UDF
+# (reference: src/services/pdf_processor.py:29-68 splits oversized PDFs
 # before extraction).
 SPLIT_THRESHOLD_BYTES = 256_000
 
@@ -42,6 +42,8 @@ def normalize_route(batch: pa.Table, config: EngineConfig | None = None) -> pa.T
     its first 1024 payload bytes (all the sniffer reads), the same call the
     golden oracle makes, so the route policy lives in one place. Sizes and
     the split flag are Arrow kernels; a null payload has size 0.
+    ``needs_split`` marks the only rows the extract stage cuts into page
+    ranges: PDF-routed and larger than ``SPLIT_THRESHOLD_BYTES``.
     """
     config = config or EngineConfig()
     payload = batch["html"]
@@ -57,5 +59,8 @@ def normalize_route(batch: pa.Table, config: EngineConfig | None = None) -> pa.T
         batch.append_column("route", route)
         .append_column("payload_bytes", pc.cast(sizes, pa.int64()))
         .append_column("partition_id", pa.array(partition_id, pa.int32()))
-        .append_column("needs_split", pc.greater(sizes, SPLIT_THRESHOLD_BYTES))
+        .append_column(
+            "needs_split",
+            pc.and_(pc.equal(route, ROUTE_PDF), pc.greater(sizes, SPLIT_THRESHOLD_BYTES)),
+        )
     )

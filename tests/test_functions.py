@@ -251,6 +251,7 @@ class TestRouting:
             b"\x00" * 1500 + b"%PDF-1.4 x",
             b"<!DOCTYPE html><html><body>%PDF-1.4 is a format</body>",
             b"<p>" + b"x" * SPLIT_THRESHOLD_BYTES + b"</p>",
+            b"%PDF-1.4 " + b"x" * SPLIT_THRESHOLD_BYTES,
         ]
         batch = pa.table(
             {
@@ -261,9 +262,10 @@ class TestRouting:
         out = normalize_route(batch)
         routes = out["route"].to_pylist()
         assert routes == [sniff_payload_route(p) for p in payloads]
-        assert routes == ["empty", "empty", "pdf", "pdf", "html", "html", "html"]
+        assert routes == ["empty", "empty", "pdf", "pdf", "html", "html", "html", "pdf"]
         assert out["payload_bytes"].to_pylist() == [len(p or b"") for p in payloads]
-        assert out["needs_split"].to_pylist() == [False] * 6 + [True]
+        # Only oversized PDF rows are cut; oversized HTML is read whole.
+        assert out["needs_split"].to_pylist() == [False] * 7 + [True]
 
     @pytest.mark.parametrize(
         "query,workflow",

@@ -14,12 +14,13 @@ from pdf_extractor_ray.functions.pdf_codec import (
     parse_pdf_records,
 )
 from pdf_extractor_ray.functions.pdf_extract import (
+    MAX_PAGES_PER_CHUNK,
     decode_records,
     extract_pdf,
     layout_text,
+    split_pdf_payload,
     wrap_text_rows,
 )
-from pdf_extractor_ray.functions.split import MAX_PAGES_PER_CHUNK, split_pdf_payload
 from pdf_extractor_ray.stages.sections import build_pdf_outline_sections
 
 SIMPLE = "hello world this is a simple test document with some words"

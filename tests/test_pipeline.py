@@ -1,7 +1,8 @@
 """End-to-end pipeline tests: byte-identical extracted text per url versus
 the single-process golden oracle (FIXTURES.md §2), at parallelism > 1.
-Oversized rows are chunked and merged inside the extract UDF, so the golden
-comparison also pins chunked extraction to whole-document extraction."""
+Oversized PDF rows are chunked and merged inside the extract UDF, so the
+golden comparison also pins chunked extraction to whole-document extraction;
+oversized HTML rows are extracted whole, with the golden's own call."""
 
 import pyarrow as pa
 import pytest
@@ -55,46 +56,78 @@ class TestFlagshipPipeline:
         b = _collect(extraction_pipeline(pages_ds.repartition(3)))
         assert a == b
 
-    def test_oversized_rows_chunked(self, pages_ds, small_pages):
-        ds = extraction_pipeline(pages_ds)
-        table = _collect_table(ds)
-        n_chunks = table["n_chunks"].to_pylist()
-        assert max(n_chunks) > 1, "fixture corpus should contain chunk-split docs"
+    def test_oversized_rows_chunked(self, ray_session, small_pages):
+        """Oversized rows report what whole-document extraction reports:
+        text and the page, block and table counts, through the stage and
+        through the pipeline. A PDF past ``MAX_PAGES_PER_CHUNK`` pages is
+        cut and merged; HTML is read whole, also when its page divs sit
+        inside ``<nav>`` or ``<blockquote>`` or only a class that contains
+        ``page`` marks them."""
+        import ray.data as rd
 
-        # Every chunked row reports what whole-document extraction reports:
-        # text and the page, block and table counts. The extra rows are a
-        # page with no kept block, whole and padded past the threshold.
+        from pdf_extractor_ray.fixtures import golden_extract
+        from pdf_extractor_ray.functions.html_extract import extract_html
+        from pdf_extractor_ray.functions.pdf_extract import layout_text
         from pdf_extractor_ray.stages.extract import DocumentExtractor
         from pdf_extractor_ray.stages.normalize import normalize_route
 
-        empty = b"<html><body><nav><a href='x'>home</a></nav><p>tiny</p></body></html>"
         padding = b"<!--" + b"x" * SPLIT_THRESHOLD_BYTES + b"-->"
+
+        def paged(wrap: str, cls: str = "page") -> bytes:
+            divs = "".join(
+                f'<div class="{cls}"><p>Page {i} carries enough words to be kept.</p></div>'
+                for i in range(20)
+            )
+            return f"<html><body><{wrap}>{divs}</{wrap}>".encode() + padding + b"</body></html>"
+
+        empty = b"<html><body><nav><a href='x'>home</a></nav><p>tiny</p></body></html>"
+        long_pdf = layout_text(
+            " ".join(f"word{i}" for i in range(2200)), lines_per_page=4
+        )
         template = small_pages.slice(0, 1).to_pylist()[0]
         extra = pa.Table.from_pylist(
             [
                 {**template, "url": "u://empty", "html": empty},
                 {**template, "url": "u://empty-padded",
                  "html": empty.replace(b"</body>", padding + b"</body>")},
+                {**template, "url": "u://nav-pages", "html": paged("nav")},
+                {**template, "url": "u://quote-pages", "html": paged("blockquote")},
+                {**template, "url": "u://dotted-class", "html": paged("section", "x.page")},
+                {**template, "url": "u://long-pdf", "html": long_pdf},
             ],
             schema=small_pages.schema,
         )
-        batch = normalize_route(pa.concat_tables([small_pages, extra]))
+        pages = pa.concat_tables([small_pages, extra])
+        html_urls = [u for u in extra["url"].to_pylist() if u != "u://long-pdf"]
+        assert all(len(p) > SPLIT_THRESHOLD_BYTES for p in extra["html"].to_pylist()[1:])
+
+        table = _collect_table(extraction_pipeline(rd.from_arrow(pages).repartition(16)))
+        assert max(table["n_chunks"].to_pylist()) > 1, "corpus should contain chunk-split docs"
+        golden = golden_extract(extra)
+        texts = dict(zip(table["url"].to_pylist(), table["extracted_text"].to_pylist()))
+        assert {u: texts[u] for u in golden} == golden
+
+        batch = normalize_route(pages)
         extractor = DocumentExtractor()
         out = extractor(batch)
+        urls = batch["url"].to_pylist()
+        split_urls = {u for u, s in zip(urls, batch["needs_split"].to_pylist()) if s}
+        assert "u://long-pdf" in split_urls and not split_urls & set(html_urls)
         columns = ["extracted_text", "n_pages", "n_blocks", "n_tables"]
-        split_rows = [i for i, s in enumerate(batch["needs_split"].to_pylist()) if s]
-        assert batch["url"][split_rows[-1]].as_py() == "u://empty-padded"
-        for i in split_rows:
-            whole = extractor._extract_one(
-                batch["html"][i].as_py(), batch["route"][i].as_py(), False
-            )
+        for i in [urls.index(u) for u in html_urls] + [urls.index(u) for u in split_urls]:
+            payload = batch["html"][i].as_py()
+            if urls[i] in html_urls:
+                text, stats = extract_html(payload.decode("utf-8", errors="replace"))
+                whole = (text, stats["n_pages"], stats["n_blocks_kept"], stats["n_tables"])
+            else:
+                whole = extractor._extract_one(payload, "pdf", False)[:4]
             got = tuple(out[c][i].as_py() for c in columns)
-            assert got == whole[:4], batch["url"][i].as_py()
-        counts = out.select(["n_pages", "n_blocks", "n_chunks"]).slice(len(small_pages))
-        assert counts.to_pylist() == [
-            {"n_pages": 1, "n_blocks": 0, "n_chunks": 1},
-            {"n_pages": 1, "n_blocks": 0, "n_chunks": 1},
-        ]
+            assert got == whole, urls[i]
+        n_chunks = dict(zip(urls, out["n_chunks"].to_pylist()))
+        assert n_chunks["u://long-pdf"] > 1
+        assert {n_chunks[u] for u in html_urls} == {1}
+        counts = out.select(["n_pages", "n_blocks"]).slice(len(small_pages), 3)
+        assert counts.to_pylist() == [{"n_pages": 1, "n_blocks": 0}] * 3
 
     def test_problem_rows_replaced(self, pages_ds):
         ds = extraction_pipeline(pages_ds)
@@ -274,13 +307,14 @@ class TestTextExtractionFlavor:
 
 class TestGiantDocument:
     def test_reference_max_size_document(self):
-        """A document at the reference's 25MB upload cap flows through the
-        in-UDF chunk path in bounded time/memory
+        """A document at the reference's 25MB upload cap is extracted whole,
+        as the golden extracts it, in bounded time/memory
         (reference guardrail: src/core/config.py:39)."""
         import time
 
         import pyarrow as pa
 
+        from pdf_extractor_ray.functions.html_extract import extract_html
         from pdf_extractor_ray.stages.extract import DocumentExtractor
         from pdf_extractor_ray.stages.normalize import normalize_route
 
@@ -299,8 +333,9 @@ class TestGiantDocument:
         t0 = time.time()
         out = DocumentExtractor()(normalize_route(batch))
         assert time.time() - t0 < 30
-        assert out["n_chunks"][0].as_py() > 1
+        assert out["n_chunks"][0].as_py() == 1
         assert out["n_pages"][0].as_py() == 400
+        assert out["extracted_text"][0].as_py() == extract_html(html.decode())[0]
         assert out["extract_error"][0].as_py() is None
 
 
